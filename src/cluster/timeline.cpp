@@ -21,6 +21,39 @@ Time run_end_of(const VmSpec& vm, Time t, const Resources& r) {
   return e;
 }
 
+/// Range max over tree positions [lo, hi], where positions past the tree
+/// (an open timeline's units past its span) read 0 — the value a tree over
+/// the whole window would hold there.
+double span_max(const RangeAddMaxTree& tree, std::size_t lo, std::size_t hi) {
+  const std::size_t n = tree.size();
+  if (lo >= n) return 0.0;
+  const double m = tree.max(lo, std::min(hi, n - 1));
+  return hi < n ? m : std::max(m, 0.0);
+}
+
+/// RangeAddMaxTree::first_above over [lo, hi] with the same zero reading
+/// past the tree. `pred` is monotone, so npos here <=> !pred(span_max).
+template <typename Pred>
+std::size_t span_first_above(const RangeAddMaxTree& tree, std::size_t lo,
+                             std::size_t hi, Pred pred) {
+  const std::size_t n = tree.size();
+  if (lo < n) {
+    const std::size_t at = tree.first_above(lo, std::min(hi, n - 1), pred);
+    if (at != RangeAddMaxTree::npos || hi < n) return at;
+  }
+  return pred(0.0) ? std::max(lo, n) : RangeAddMaxTree::npos;
+}
+
+/// Smallest span an open timeline materializes (units): one small VM's
+/// worth, so short VMs do not pay for several doublings.
+constexpr std::size_t kMinSpan = 64;
+
+std::size_t window_size(Time base, Time horizon) {
+  return horizon == ServerTimeline::kOpenHorizon
+             ? 0
+             : static_cast<std::size_t>(horizon - base + 1);
+}
+
 }  // namespace
 
 ServerTimeline::ServerTimeline(const ServerSpec& spec, Time horizon)
@@ -30,10 +63,19 @@ ServerTimeline::ServerTimeline(const ServerSpec& spec, Time base, Time horizon)
     : spec_(spec),
       base_(base),
       horizon_(horizon),
-      cpu_(static_cast<std::size_t>(horizon - base + 1)),
-      mem_(static_cast<std::size_t>(horizon - base + 1)) {
+      cpu_(window_size(base, horizon)),
+      mem_(window_size(base, horizon)) {
   assert(base >= 1);
   assert(horizon >= base - 1);
+}
+
+void ServerTimeline::reserve_span(Time end) {
+  if (end <= span_end()) return;
+  assert(open() && "a fixed window's trees already cover it");
+  std::size_t n = std::max(resident_units(), kMinSpan);
+  while (n < index_of(end) + 1) n *= 2;
+  cpu_.grow(n);
+  mem_.grow(n);
 }
 
 void ServerTimeline::inherit_epoch(std::uint64_t floor) {
@@ -53,18 +95,20 @@ QuickFit ServerTimeline::quick_fit(const VmSpec& vm) const {
   // so every unit of the VM's interval fits a fortiori. Exact for profiled
   // VMs too (vm.demand is their peak).
   const bool cpu_free =
-      cpu_.max_all() + vm.demand.cpu <= spec_.capacity.cpu + kEps;
+      peak_cpu_usage() + vm.demand.cpu <= spec_.capacity.cpu + kEps;
   const bool mem_free =
-      mem_.max_all() + vm.demand.mem <= spec_.capacity.mem + kEps;
+      peak_mem_usage() + vm.demand.mem <= spec_.capacity.mem + kEps;
   if (cpu_free && mem_free) return QuickFit::kFits;
   // Quick-reject: even the emptiest unit of the window lacks spare capacity
   // for the constant demand, so every unit of the interval violates. Unsound
   // for profiled VMs (their per-unit demand dips below the peak), so only
   // stable VMs take it.
   if (!vm.has_profile()) {
-    if (!cpu_free && cpu_.min_all() + vm.demand.cpu > spec_.capacity.cpu + kEps)
+    if (!cpu_free &&
+        floor_cpu_usage() + vm.demand.cpu > spec_.capacity.cpu + kEps)
       return QuickFit::kCannotFit;
-    if (!mem_free && mem_.min_all() + vm.demand.mem > spec_.capacity.mem + kEps)
+    if (!mem_free &&
+        floor_mem_usage() + vm.demand.mem > spec_.capacity.mem + kEps)
       return QuickFit::kCannotFit;
   }
   return QuickFit::kUnknown;
@@ -81,14 +125,16 @@ bool ServerTimeline::can_fit(const VmSpec& vm) const {
   // comparisons) so a dimension that already fit under the window peak skips
   // its O(log T) query.
   const bool cpu_free =
-      cpu_.max_all() + vm.demand.cpu <= spec_.capacity.cpu + kEps;
+      peak_cpu_usage() + vm.demand.cpu <= spec_.capacity.cpu + kEps;
   const bool mem_free =
-      mem_.max_all() + vm.demand.mem <= spec_.capacity.mem + kEps;
+      peak_mem_usage() + vm.demand.mem <= spec_.capacity.mem + kEps;
   const std::size_t lo = index_of(vm.start);
   const std::size_t hi = index_of(vm.end);
   const bool peak_fits =
-      (cpu_free || cpu_.max(lo, hi) + vm.demand.cpu <= spec_.capacity.cpu + kEps) &&
-      (mem_free || mem_.max(lo, hi) + vm.demand.mem <= spec_.capacity.mem + kEps);
+      (cpu_free ||
+       span_max(cpu_, lo, hi) + vm.demand.cpu <= spec_.capacity.cpu + kEps) &&
+      (mem_free ||
+       span_max(mem_, lo, hi) + vm.demand.mem <= spec_.capacity.mem + kEps);
   if (peak_fits) return true;
   if (!vm.has_profile()) return false;
   // Profiled VM: check each equal-demand run against its own demand R_jt.
@@ -97,8 +143,10 @@ bool ServerTimeline::can_fit(const VmSpec& vm) const {
     const Time e = run_end_of(vm, t, r);
     const std::size_t k_lo = index_of(t);
     const std::size_t k_hi = index_of(e);
-    if (cpu_.max(k_lo, k_hi) + r.cpu > spec_.capacity.cpu + kEps) return false;
-    if (mem_.max(k_lo, k_hi) + r.mem > spec_.capacity.mem + kEps) return false;
+    if (span_max(cpu_, k_lo, k_hi) + r.cpu > spec_.capacity.cpu + kEps)
+      return false;
+    if (span_max(mem_, k_lo, k_hi) + r.mem > spec_.capacity.mem + kEps)
+      return false;
     t = e + 1;
   }
   return true;
@@ -114,9 +162,9 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
   }
   // Same O(1) quick-accept as can_fit/quick_fit (identical comparisons).
   const bool cpu_free =
-      cpu_.max_all() + vm.demand.cpu <= spec_.capacity.cpu + kEps;
+      peak_cpu_usage() + vm.demand.cpu <= spec_.capacity.cpu + kEps;
   const bool mem_free =
-      mem_.max_all() + vm.demand.mem <= spec_.capacity.mem + kEps;
+      peak_mem_usage() + vm.demand.mem <= spec_.capacity.mem + kEps;
   if (cpu_free && mem_free) {
     check.ok = true;
     return check;
@@ -134,9 +182,9 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
     // (see segment_tree.h), so `ok` matches can_fit exactly; a non-npos
     // result localizes the earliest violating unit by tree descent.
     const std::size_t cpu_at =
-        cpu_free ? npos : cpu_.first_above(lo, hi, cpu_pred);
+        cpu_free ? npos : span_first_above(cpu_, lo, hi, cpu_pred);
     const std::size_t mem_at =
-        mem_free ? npos : mem_.first_above(lo, hi, mem_pred);
+        mem_free ? npos : span_first_above(mem_, lo, hi, mem_pred);
     if (cpu_at == npos && mem_at == npos) {
       check.ok = true;
       return check;
@@ -155,8 +203,10 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
   // Profiled VM: mirror can_fit's peak-demand accept, then localize within
   // equal-demand runs.
   const bool peak_fits =
-      (cpu_free || cpu_.max(lo, hi) + vm.demand.cpu <= spec_.capacity.cpu + kEps) &&
-      (mem_free || mem_.max(lo, hi) + vm.demand.mem <= spec_.capacity.mem + kEps);
+      (cpu_free ||
+       span_max(cpu_, lo, hi) + vm.demand.cpu <= spec_.capacity.cpu + kEps) &&
+      (mem_free ||
+       span_max(mem_, lo, hi) + vm.demand.mem <= spec_.capacity.mem + kEps);
   if (peak_fits) {
     check.ok = true;
     return check;
@@ -166,11 +216,11 @@ FitCheck ServerTimeline::check_fit(const VmSpec& vm) const {
     const Time e = run_end_of(vm, t, r);
     const std::size_t k_lo = index_of(t);
     const std::size_t k_hi = index_of(e);
-    const std::size_t cpu_at = cpu_.first_above(
-        k_lo, k_hi,
+    const std::size_t cpu_at = span_first_above(
+        cpu_, k_lo, k_hi,
         [&](double v) { return v + r.cpu > spec_.capacity.cpu + kEps; });
-    const std::size_t mem_at = mem_.first_above(
-        k_lo, k_hi,
+    const std::size_t mem_at = span_first_above(
+        mem_, k_lo, k_hi,
         [&](double v) { return v + r.mem > spec_.capacity.mem + kEps; });
     if (cpu_at != npos || mem_at != npos) {
       if (cpu_at <= mem_at) {
@@ -227,6 +277,7 @@ void apply_demand(RangeAddMaxTree& cpu, RangeAddMaxTree& mem,
 ServerTimeline::PlaceRecord ServerTimeline::place(const VmSpec& vm) {
   assert(can_fit(vm));
   ++epoch_;
+  reserve_span(vm.end);
   apply_demand(cpu_, mem_, vm, base_, +1.0);
   PlaceRecord record;
   record.vm = vm.id;
@@ -251,12 +302,12 @@ void ServerTimeline::undo(const PlaceRecord& record, const VmSpec& vm) {
 
 double ServerTimeline::max_cpu_usage(Time lo, Time hi) const {
   assert(base_ <= lo && lo <= hi && hi <= horizon_);
-  return cpu_.max(index_of(lo), index_of(hi));
+  return span_max(cpu_, index_of(lo), index_of(hi));
 }
 
 double ServerTimeline::max_mem_usage(Time lo, Time hi) const {
   assert(base_ <= lo && lo <= hi && hi <= horizon_);
-  return mem_.max(index_of(lo), index_of(hi));
+  return span_max(mem_, index_of(lo), index_of(hi));
 }
 
 std::vector<ServerTimeline> make_timelines(

@@ -15,12 +15,24 @@
 // exceeds the spare capacity of even the emptiest unit, before any O(log T)
 // descent (docs/PERFORMANCE.md, "Batched feasibility kernel").
 //
+// A window is either fixed (base..horizon, trees built over all of it at
+// construction: the batch allocators, branch-and-bound) or open-ended
+// (base..kOpenHorizon, the rolling ClusterState of core/streaming.h). An
+// open timeline's trees are span-sized: they cover base..span_end() only,
+// start empty (a timeline hosting nothing holds no trees at all), and double
+// when a placement reaches past the span. Units past the span read as zero
+// usage in every query, exactly what a tree over the whole window would hold
+// there (docs/PERFORMANCE.md, "Span-sized timelines and the retirement
+// calendar").
+//
 // Placements can be undone in LIFO order, which is what the exact
 // branch-and-bound solver uses for backtracking.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -60,23 +72,34 @@ enum class QuickFit : std::uint8_t {
 
 class ServerTimeline {
  public:
+  /// The horizon of an open-ended window: no VM ends past it, and the trees
+  /// grow on demand instead of covering the window.
+  static constexpr Time kOpenHorizon = std::numeric_limits<Time>::max();
+
   /// A timeline for `spec` over times 1..horizon (inclusive).
   ServerTimeline(const ServerSpec& spec, Time horizon);
 
   /// A timeline over the window base..horizon (inclusive; empty when
-  /// horizon == base - 1). Resource trees cover only the window, so memory
-  /// is O(horizon - base); the rolling-horizon ClusterState
-  /// (core/streaming.h) rebuilds timelines with an advanced base to keep
-  /// state proportional to the active window. VMs starting before `base`
-  /// do not fit.
+  /// horizon == base - 1). A fixed window builds its resource trees over
+  /// the whole window, so memory is O(horizon - base). With horizon ==
+  /// kOpenHorizon the window is open-ended and the trees are span-sized
+  /// (header comment); the rolling-horizon ClusterState (core/streaming.h)
+  /// rebuilds such timelines with an advanced base to keep state
+  /// proportional to what the server holds. VMs starting before `base` do
+  /// not fit.
   ServerTimeline(const ServerSpec& spec, Time base, Time horizon);
 
   const ServerSpec& spec() const { return spec_; }
   Time base() const { return base_; }
   Time horizon() const { return horizon_; }
+  bool open() const { return horizon_ == kOpenHorizon; }
 
-  /// Resident window size in time units (the resource-tree footprint).
-  Time window_units() const { return horizon_ - base_ + 1; }
+  /// Materialized resource-tree size in time units: the whole window for a
+  /// fixed one, the span for an open one (0 while it hosts nothing).
+  std::size_t resident_units() const { return cpu_.size(); }
+
+  /// Last time unit the trees cover (base - 1 when they cover none).
+  Time span_end() const { return base_ + static_cast<Time>(cpu_.size()) - 1; }
 
   /// Mutation counter: bumped by every place() and undo(), never reused.
   /// Anything derived from this timeline's state (feasibility verdicts,
@@ -122,7 +145,8 @@ class ServerTimeline {
     IntervalSet::InsertDelta busy_delta;
   };
 
-  /// Reserves the VM's resources and extends the busy structure. The caller
+  /// Reserves the VM's resources and extends the busy structure, first
+  /// doubling an open timeline's span until it covers vm.end. The caller
   /// must have checked can_fit (asserted in debug builds).
   PlaceRecord place(const VmSpec& vm);
 
@@ -136,8 +160,8 @@ class ServerTimeline {
   /// VM ids currently placed here, in placement order.
   const std::vector<VmId>& vms() const { return vms_; }
 
-  /// Peak CPU / memory usage over an inclusive time range (0 if empty range
-  /// semantics never arise: requires base <= lo <= hi <= horizon).
+  /// Peak CPU / memory usage over an inclusive time range (requires
+  /// base <= lo <= hi <= horizon; units past the span read 0).
   double max_cpu_usage(Time lo, Time hi) const;
   double max_mem_usage(Time lo, Time hi) const;
 
@@ -146,11 +170,14 @@ class ServerTimeline {
   double mem_usage_at(Time t) const { return max_mem_usage(t, t); }
 
   /// Window-wide usage envelope, O(1): the peak and floor of usage across
-  /// the whole base..horizon window (0 for an empty window).
-  double peak_cpu_usage() const { return cpu_.max_all(); }
-  double peak_mem_usage() const { return mem_.max_all(); }
-  double floor_cpu_usage() const { return cpu_.min_all(); }
-  double floor_mem_usage() const { return mem_.min_all(); }
+  /// the whole base..horizon window (0 for an empty window). An open window
+  /// always extends past its span, so its envelope includes the zero usage
+  /// there: peak >= 0 and floor <= 0, and a timeline hosting nothing has
+  /// peak == floor == 0.
+  double peak_cpu_usage() const { return peak_of(cpu_); }
+  double peak_mem_usage() const { return peak_of(mem_); }
+  double floor_cpu_usage() const { return floor_of(cpu_); }
+  double floor_mem_usage() const { return floor_of(mem_); }
 
   /// Total busy time units.
   Time busy_time() const { return busy_.total_length(); }
@@ -159,6 +186,14 @@ class ServerTimeline {
   std::size_t index_of(Time t) const {
     return static_cast<std::size_t>(t - base_);
   }
+  double peak_of(const RangeAddMaxTree& tree) const {
+    return open() ? std::max(tree.max_all(), 0.0) : tree.max_all();
+  }
+  double floor_of(const RangeAddMaxTree& tree) const {
+    return open() ? std::min(tree.min_all(), 0.0) : tree.min_all();
+  }
+  /// Doubles an open timeline's trees until they cover `end`.
+  void reserve_span(Time end);
 
   ServerSpec spec_;
   Time base_;

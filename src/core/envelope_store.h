@@ -30,6 +30,18 @@
 // recovery; the row carries the timeline's epoch so coherence is checkable.
 // tests/test_envelope_scan.cpp fuzzes verdict equality and row coherence
 // (debug_validate) across randomized engine lifecycles.
+//
+// Row kinds, by the timeline behind them (cluster/timeline.h):
+//   fixed window   base..horizon, peak/floor over the whole window (batch);
+//   open window    base..ServerTimeline::kOpenHorizon, so the window test
+//                  always passes for a VM starting at or after the base, and
+//                  peak >= 0 >= floor (the zero usage past the span is part
+//                  of the window). A server hosting nothing holds no trees:
+//                  its row (peak = floor = 0) alone decides every stable
+//                  probe — kFits, or kCannotFit when the demand exceeds the
+//                  empty server's capacity;
+//   health stub    the empty window frontier..frontier-1: kCannotFit always.
+// Horizon growth changes no row: open rows need no upper bound.
 
 #pragma once
 

@@ -11,6 +11,7 @@
 #include "obs/energy_ledger.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "util/check.h"
 
 namespace esva {
 
@@ -50,13 +51,15 @@ ClusterState::ClusterState(std::vector<ServerSpec> servers,
       active_(servers_.size()),
       retired_hi_(servers_.size(), 0),
       health_(servers_.size(), ServerHealth::kUp),
-      horizon_(std::max<Time>(initial_horizon, 0)) {
+      horizon_(std::max<Time>(initial_horizon, 0)),
+      fixed_windows_(horizon_ > 0) {
+  const Time window = fixed_windows_ ? horizon_ : ServerTimeline::kOpenHorizon;
   timelines_.reserve(servers_.size());
   for (const ServerSpec& spec : servers_)
-    timelines_.emplace_back(spec, /*base=*/1, horizon_);
+    timelines_.emplace_back(spec, /*base=*/1, window);
   envelopes_.reset(timelines_, partition_.original_of());
-  resident_units_ =
-      servers_.size() * static_cast<std::size_t>(horizon_);
+  for (const ServerTimeline& timeline : timelines_)
+    resident_units_ += timeline.resident_units();
 }
 
 void ClusterState::refresh_envelope(std::size_t i) {
@@ -83,92 +86,114 @@ bool ClusterState::should_rebuild(std::size_t i) const {
   return dead >= std::max<Time>(32, live);
 }
 
-void ClusterState::rebuild(std::size_t i, Time base, Time horizon) {
-  // The frontier can outrun the lazily-extended planning horizon (a fault
-  // event or an arrival far past every previous VM's end). Nothing can be
-  // active there — place() ensured end <= horizon_ and the sweep retired the
-  // rest — so rebuild an empty window; the next ensure_horizon (every later
-  // request has end >= start >= frontier) extends and rebuilds it for real.
-  horizon = std::max(horizon, base - 1);
-  ServerTimeline fresh(servers_[i], base, horizon);
+void ClusterState::install(std::size_t i, ServerTimeline fresh) {
   // Epochs must stay unique across rebuilds or the scan cache could mistake
   // the fresh timeline for a stale snapshot it has entries for.
   fresh.inherit_epoch(timelines_[i].epoch() + 1);
-  if (retired_hi_[i] > 0) fresh.seed_busy(retired_hi_[i], retired_hi_[i]);
-  for (const VmSpec& vm : active_[i]) fresh.place(vm);
-  resident_units_ += static_cast<std::size_t>(fresh.window_units()) -
-                     static_cast<std::size_t>(timelines_[i].window_units());
+  resident_units_ += fresh.resident_units();
+  resident_units_ -= timelines_[i].resident_units();
   timelines_[i] = std::move(fresh);
   refresh_envelope(i);
+}
+
+void ClusterState::rebuild(std::size_t i, Time base) {
+  ServerTimeline fresh(servers_[i], base, ServerTimeline::kOpenHorizon);
+  if (retired_hi_[i] > 0) fresh.seed_busy(retired_hi_[i], retired_hi_[i]);
+  for (const VmSpec& vm : active_[i]) fresh.place(vm);
+  install(i, std::move(fresh));
 }
 
 void ClusterState::stub_timeline(std::size_t i) {
   // Empty window base..base-1 at the frontier: can_fit rejects every VM
   // (Horizon), so the server disappears from every policy scan; the window
   // holds no resource trees, so it costs no resident memory.
-  ServerTimeline stub(servers_[i], frontier_, frontier_ - 1);
-  stub.inherit_epoch(timelines_[i].epoch() + 1);
-  resident_units_ -= static_cast<std::size_t>(timelines_[i].window_units());
-  timelines_[i] = std::move(stub);
-  refresh_envelope(i);
+  install(i, ServerTimeline(servers_[i], frontier_, frontier_ - 1));
 }
 
-void ClusterState::recompute_next_retire() {
-  next_retire_ = 0;
-  for (const std::vector<VmSpec>& vms : active_)
-    for (const VmSpec& vm : vms)
-      next_retire_ = next_retire_ == 0 ? vm.end : std::min(next_retire_, vm.end);
+void ClusterState::track(std::size_t server, const VmSpec& vm) {
+  calendar_.push(Retirement{vm.end, server, vm.id});
+  hosts_.emplace(vm.id, server);
+}
+
+bool ClusterState::remove_active(std::size_t i, VmId vm, Time end) {
+  std::vector<VmSpec>& vms = active_[i];
+  const auto it = std::find_if(vms.begin(), vms.end(), [&](const VmSpec& v) {
+    return v.id == vm && (end == 0 || v.end == end);
+  });
+  if (it == vms.end()) return false;
+  vms.erase(it);
+  unindex(i, vm);
+  --active_count_;
+  return true;
+}
+
+void ClusterState::unindex(std::size_t i, VmId vm) {
+  const auto [lo, hi] = hosts_.equal_range(vm);
+  for (auto h = lo; h != hi; ++h) {
+    if (h->second == i) {
+      hosts_.erase(h);
+      return;
+    }
+  }
 }
 
 void ClusterState::ensure_horizon(Time end) {
   if (end <= horizon_) return;
-  // Double the forward window (with a floor) so repeated small extensions
-  // cost O(1) rebuild work per time unit, amortized.
+  // Double the forward window (with a floor), so the horizon — which
+  // snapshots record and restore checks VM ends against — grows O(log)
+  // times over a run.
   const Time slack = std::max<Time>(256, horizon_ - frontier_ + 1);
   horizon_ = std::max<Time>(end, horizon_ + slack);
+  if (!fixed_windows_) return;
+  // A cluster built over a fixed window meets its first VM past it: switch
+  // every placeable timeline to an open window, once.
+  fixed_windows_ = false;
   for (std::size_t i = 0; i < timelines_.size(); ++i)
-    if (placeable(i)) rebuild(i, window_base(i), horizon_);
+    if (placeable(i) && !timelines_[i].open()) rebuild(i, window_base(i));
 }
 
 void ClusterState::place(std::size_t server, const VmSpec& vm) {
   assert(server < timelines_.size());
   assert(placeable(server));
+  // A placement that grows the span is the other point (with retirement)
+  // where the dead prefix is collected: growing over it would keep it.
+  if (vm.end > timelines_[server].span_end() && timelines_[server].open() &&
+      should_rebuild(server))
+    rebuild(server, window_base(server));
+  const std::size_t before = timelines_[server].resident_units();
   timelines_[server].place(vm);
+  resident_units_ += timelines_[server].resident_units() - before;
   refresh_envelope(server);
-  next_retire_ = next_retire_ == 0 ? vm.end : std::min(next_retire_, vm.end);
   active_[server].push_back(vm);
+  track(server, vm);
   ++active_count_;
 }
 
 void ClusterState::advance_to(Time t) {
   if (t <= frontier_) return;
   frontier_ = t;
-  if (next_retire_ == 0 || next_retire_ >= frontier_) return;
-
-  Time next = 0;
-  for (std::size_t i = 0; i < timelines_.size(); ++i) {
-    std::vector<VmSpec>& vms = active_[i];
-    std::size_t kept = 0;
-    for (std::size_t k = 0; k < vms.size(); ++k) {
-      VmSpec& vm = vms[k];
-      if (vm.end < frontier_) {
-        retired_hi_[i] = std::max(retired_hi_[i], vm.end);
-        --active_count_;
-      } else {
-        next = next == 0 ? vm.end : std::min(next, vm.end);
-        // Compact in place, keeping placement order; guard against
-        // self-move, which would gut the profile vector.
-        if (kept != k) vms[kept] = std::move(vm);
-        ++kept;
-      }
-    }
-    vms.resize(kept);
-    // Stubs stay stubs: rebuilding a non-up server would resurrect its
-    // capacity for policy scans.
-    if (placeable(i) && should_rebuild(i)) rebuild(i, window_base(i), horizon_);
+  std::vector<std::size_t> touched;
+  while (!calendar_.empty() && calendar_.top().end < frontier_) {
+    const Retirement due = calendar_.top();
+    calendar_.pop();
+    // The VM may have left already (retire_active, fail_server); a VM with
+    // the same id and end placed on the same server later retires now too,
+    // which is exactly when its own entry would retire it.
+    if (!remove_active(due.server, due.vm, due.end)) continue;
+    retired_hi_[due.server] = std::max(retired_hi_[due.server], due.end);
+    touched.push_back(due.server);
   }
-  next_retire_ = next;
-  assert(active_count_ == active_vms_scan());
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const std::size_t i : touched) {
+    // Stubs stay stubs: rebuilding a non-up server would resurrect its
+    // capacity for policy scans. A server left empty drops its trees.
+    if (!placeable(i)) continue;
+    if (active_[i].empty() ? timelines_[i].resident_units() > 0
+                           : should_rebuild(i))
+      rebuild(i, window_base(i));
+  }
+  ESVA_CHECKED_ASSERT(active_count_ == active_vms_scan());
 }
 
 std::size_t ClusterState::active_vms_scan() const {
@@ -235,14 +260,15 @@ std::vector<VmSpec> ClusterState::fail_server(std::size_t i) {
   health_[i] = ServerHealth::kFailed;
   std::vector<VmSpec> displaced = std::move(active_[i]);
   active_[i].clear();
+  // Their calendar entries go stale and are skipped when popped.
+  for (const VmSpec& vm : displaced) unindex(i, vm.id);
   active_count_ -= displaced.size();
-  assert(active_count_ == active_vms_scan());
+  ESVA_CHECKED_ASSERT(active_count_ == active_vms_scan());
   // Occupancy ran right up to the failure instant; anchor future structure
   // deltas (after recovery) at the last completed unit.
   if (!displaced.empty() && frontier_ > 1)
     retired_hi_[i] = std::max(retired_hi_[i], frontier_ - 1);
   stub_timeline(i);
-  recompute_next_retire();
   return displaced;
 }
 
@@ -250,8 +276,8 @@ void ClusterState::drain_server(std::size_t i) {
   assert(i < timelines_.size());
   if (health_[i] != ServerHealth::kUp) return;
   health_[i] = ServerHealth::kDrained;
-  // Active VMs stay in active_[i] and retire through the normal sweep; only
-  // the placement surface disappears.
+  // Active VMs stay in active_[i] and retire through the calendar; only the
+  // placement surface disappears.
   stub_timeline(i);
 }
 
@@ -259,28 +285,24 @@ void ClusterState::recover_server(std::size_t i) {
   assert(i < timelines_.size());
   if (health_[i] == ServerHealth::kUp) return;
   health_[i] = ServerHealth::kUp;
-  rebuild(i, window_base(i), horizon_);
+  rebuild(i, window_base(i));
 }
 
 ServerId ClusterState::retire_active(VmId vm) {
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    std::vector<VmSpec>& vms = active_[i];
-    for (std::size_t k = 0; k < vms.size(); ++k) {
-      if (vms[k].id != vm) continue;
-      vms.erase(vms.begin() + static_cast<std::ptrdiff_t>(k));
-      --active_count_;
-      // The VM occupied its server through the last completed unit; anchor
-      // future structure deltas there, exactly like the fail_server path.
-      if (frontier_ > 1) retired_hi_[i] = std::max(retired_hi_[i], frontier_ - 1);
-      // Placeable hosts must drop the freed occupancy from their timeline;
-      // a drained host's timeline is already a stub holding nothing.
-      if (placeable(i)) rebuild(i, window_base(i), horizon_);
-      recompute_next_retire();
-      assert(active_count_ == active_vms_scan());
-      return static_cast<ServerId>(i);
-    }
-  }
-  return kNoServer;
+  const auto [lo, hi] = hosts_.equal_range(vm);
+  if (lo == hi) return kNoServer;
+  std::size_t i = lo->second;
+  for (auto h = lo; h != hi; ++h) i = std::min(i, h->second);
+  [[maybe_unused]] const bool removed = remove_active(i, vm);
+  assert(removed && "the host index lists only active VMs");
+  // The VM occupied its server through the last completed unit; anchor
+  // future structure deltas there, exactly like the fail_server path.
+  if (frontier_ > 1) retired_hi_[i] = std::max(retired_hi_[i], frontier_ - 1);
+  // Placeable hosts must drop the freed occupancy from their timeline;
+  // a drained host's timeline is already a stub holding nothing.
+  if (placeable(i)) rebuild(i, window_base(i));
+  ESVA_CHECKED_ASSERT(active_count_ == active_vms_scan());
+  return static_cast<ServerId>(i);
 }
 
 std::vector<ServerStateSnapshot> ClusterState::export_servers() const {
@@ -302,8 +324,6 @@ void ClusterState::restore(Time frontier, Time horizon,
         std::to_string(servers_.size()));
   frontier_ = std::max<Time>(1, frontier);
   horizon_ = std::max<Time>(0, horizon);
-  resident_units_ = 0;
-  active_count_ = 0;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     const ServerStateSnapshot& snap = servers[i];
     if (snap.health == ServerHealth::kFailed && !snap.active.empty())
@@ -317,32 +337,28 @@ void ClusterState::restore(Time frontier, Time horizon,
             " on server " + std::to_string(i) +
             " is invalid or ends past the horizon");
     }
+  }
+  calendar_ = {};
+  hosts_.clear();
+  active_count_ = 0;
+  fixed_windows_ = false;
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    const ServerStateSnapshot& snap = servers[i];
     health_[i] = snap.health;
     retired_hi_[i] = std::max<Time>(0, snap.retired_hi);
     active_[i] = snap.active;
     active_count_ += active_[i].size();
-  }
-  // Timelines are rebuilt from scratch: placeable servers get the full
-  // window with sentinel + actives replayed (byte-identical future deltas,
-  // per the GC-invariance argument), non-up servers the frontier stub.
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    for (const VmSpec& vm : active_[i]) track(i, vm);
+    // Timelines are rebuilt from scratch, as the GC would (byte-identical
+    // future deltas, per the GC-invariance argument); non-up servers get
+    // the frontier stub.
     if (placeable(i)) {
-      const Time base = window_base(i);
-      ServerTimeline fresh(servers_[i], base, std::max(horizon_, base - 1));
-      fresh.inherit_epoch(timelines_[i].epoch() + 1);
-      if (retired_hi_[i] > 0) fresh.seed_busy(retired_hi_[i], retired_hi_[i]);
-      for (const VmSpec& vm : active_[i]) fresh.place(vm);
-      resident_units_ += static_cast<std::size_t>(fresh.window_units());
-      timelines_[i] = std::move(fresh);
+      rebuild(i, window_base(i));
     } else {
-      ServerTimeline stub(servers_[i], frontier_, frontier_ - 1);
-      stub.inherit_epoch(timelines_[i].epoch() + 1);
-      timelines_[i] = std::move(stub);
+      stub_timeline(i);
     }
-    refresh_envelope(i);
   }
-  recompute_next_retire();
-  assert(active_count_ == active_vms_scan());
+  ESVA_CHECKED_ASSERT(active_count_ == active_vms_scan());
 }
 
 void PlacementPolicy::begin(const ClusterState& /*cluster*/, Rng& /*rng*/) {}

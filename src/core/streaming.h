@@ -7,14 +7,21 @@
 //
 // Three pieces:
 //
-//   * ClusterState — owns one ServerTimeline per server over a rolling
-//     window [base_i, horizon]. advance_to(t) retires VMs that finish before
-//     the frontier and, amortized, rebuilds each timeline with an advanced
-//     base; ensure_horizon(end) grows the forward window with doubling so
-//     per-request growth is O(1) amortized. Servers also carry a health
-//     state (up / drained / failed): a non-up server's timeline is replaced
-//     by an empty-window stub, so every policy's can_fit probe rejects it —
-//     failed capacity vanishes from every scan without per-policy checks.
+//   * ClusterState — owns one ServerTimeline per server over a rolling,
+//     open-ended window [base_i, ...). Its trees are span-sized
+//     (cluster/timeline.h): a server hosting nothing holds none, and a
+//     placement that reaches past a server's span doubles it. advance_to(t)
+//     pops a retirement calendar (a min-queue keyed by vm.end), so it
+//     visits only servers with a VM ending before the frontier; there it
+//     retires the VMs, drops the trees of a server left empty and, amortized,
+//     rebuilds the others with an advanced base. ensure_horizon(end) only
+//     moves the planning horizon, O(1): every VM reaching a scan already
+//     ends within it, so placeable timelines need no fixed upper bound.
+//     Horizon growth and retirement therefore cost O(servers hosting VMs),
+//     not O(fleet). Servers also carry a health state (up / drained /
+//     failed): a non-up server's timeline is replaced by an empty-window
+//     stub, so every policy's can_fit probe rejects it — failed capacity
+//     vanishes from every scan without per-policy checks.
 //
 //   * PlacementPolicy — the incremental `place_one` interface every
 //     streamable allocator implements (the scan-based ScanPolicy in
@@ -51,8 +58,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/server_spec.h"
@@ -86,9 +96,10 @@ std::string to_string(ServerHealth health);
 /// Per-server timelines behind a rolling time frontier.
 class ClusterState {
  public:
-  /// Timelines over [1, initial_horizon]; pass 0 to grow on demand via
-  /// ensure_horizon (the streaming replay default). `shard` partitions the
-  /// fleet into contiguous envelope blocks (core/shard.h); the default
+  /// Fixed-window timelines over [1, initial_horizon], trees built at
+  /// construction (run_batch); pass 0 for open-ended, tree-less timelines
+  /// that grow on demand (the streaming replay default). `shard` partitions
+  /// the fleet into contiguous envelope blocks (core/shard.h); the default
   /// single-shard partition reproduces the historical unsharded layout.
   ClusterState(std::vector<ServerSpec> servers, Time initial_horizon,
                ShardOptions shard = {});
@@ -114,12 +125,13 @@ class ClusterState {
   const FleetPartition& partition() const { return partition_; }
 
   /// Per-shard mutation counter: bumped whenever any timeline in shard `s`
-  /// mutates (place, GC rebuild, fault stub, recovery). Faults and rebuilds
-  /// are per-server operations, so activity in one shard never advances
-  /// another shard's epoch — the isolation property behind per-shard
-  /// incremental consumers (tests/test_sharded_scan.cpp pins it). The one
-  /// deliberate exception is ensure_horizon growth, which rebuilds every
-  /// placeable timeline and therefore advances every shard.
+  /// mutates (place, GC rebuild, fault stub, recovery). Every mutation is a
+  /// per-server operation, so activity in one shard never advances another
+  /// shard's epoch, and ensure_horizon advances none — the isolation
+  /// property behind per-shard incremental consumers
+  /// (tests/test_sharded_scan.cpp pins it). The one exception is the
+  /// one-time switch of a fixed-window cluster (initial_horizon > 0) to open
+  /// windows when a VM first ends past its initial horizon.
   std::uint64_t shard_epoch(std::size_t s) const { return shard_epochs_[s]; }
 
   /// Requests must start at or after the frontier; structure strictly before
@@ -127,27 +139,30 @@ class ClusterState {
   Time frontier() const { return frontier_; }
   Time horizon() const { return horizon_; }
 
-  /// Grows the horizon to cover `end` (amortized doubling of the forward
-  /// window). No-op when already covered.
+  /// Grows the planning horizon to cover `end` (doubling of the forward
+  /// window). O(1): open timelines need no rebuild, so no timeline,
+  /// envelope row or shard epoch changes. No-op when already covered.
   void ensure_horizon(Time end);
 
   /// Commits a placement chosen by a policy. The VM must fit (asserted by
   /// the timeline), the server must be up, and the VM is tracked as active
-  /// until it retires.
+  /// (and entered in the retirement calendar) until it retires. A placement
+  /// that grows the server's span first runs the amortized GC rebuild check.
   void place(std::size_t server, const VmSpec& vm);
 
-  /// Advances the frontier to `t` (no-op backwards), retires VMs ending
-  /// before it, and — amortized — rebuilds timelines over the shrunken
-  /// window. Never changes any subsequent decision (header comment).
+  /// Advances the frontier to `t` (no-op backwards) and retires VMs ending
+  /// before it, visiting only their hosts: a host left empty drops its
+  /// trees, the others are — amortized — rebuilt over the shrunken window.
+  /// Never changes any subsequent decision (header comment).
   void advance_to(Time t);
 
-  /// VMs placed and not yet retired by advance_to. O(1) — place() and the
-  /// retire sweep maintain a running count, asserted against
-  /// active_vms_scan() wherever the sweep already walks the fleet.
+  /// VMs placed and not yet retired. O(1) — place() and every retirement
+  /// path maintain a running count, checked against active_vms_scan() in
+  /// checked builds (util/check.h).
   std::size_t active_vms() const { return active_count_; }
 
   /// The O(num_servers) verification twin of active_vms(): recounts from
-  /// the per-server lists. Tests and debug asserts only.
+  /// the per-server lists. Tests and checked builds only.
   std::size_t active_vms_scan() const;
 
   /// Fleet-wide snapshot at instant `t` for the time-series sampler: usage
@@ -157,8 +172,12 @@ class ClusterState {
   /// for PlacementEngine to fill. O(active VMs + servers).
   FleetSample sample(Time t) const;
 
-  /// Total resident window size, in time units summed over servers — the
-  /// resource-tree memory footprint the rolling horizon bounds. O(1).
+  /// Materialized resource-tree units summed over servers
+  /// (ServerTimeline::resident_units) — the tree memory footprint the
+  /// span-sized timelines and the rolling GC bound. Servers hosting nothing
+  /// count 0, so it returns to 0 once every VM has retired. Feeds
+  /// PlacementEngine::peak_resident_time_units (serve `stats`, snapshots).
+  /// O(1).
   std::size_t resident_time_units() const { return resident_units_; }
 
   // --- server health (core/fault_plan.h events) ----------------------------
@@ -198,11 +217,12 @@ class ClusterState {
   std::vector<struct ServerStateSnapshot> export_servers() const;
 
   /// Rebuilds this cluster to a previously exported state: every placeable
-  /// timeline is freshly rebuilt over [window_base, horizon] with the
-  /// retired-busy sentinel seeded and active VMs replayed in order; non-up
-  /// servers get the frontier stub. By the GC-invariance argument in the
-  /// header comment, every decision taken after restore is byte-identical to
-  /// one taken on the cluster the state was exported from. Throws
+  /// timeline is rebuilt as a GC rebuild would (open window from its window
+  /// base, the retired-busy sentinel seeded, active VMs replayed in order);
+  /// non-up servers get the frontier stub. By the GC-invariance argument in
+  /// the header comment, every decision taken after restore is
+  /// byte-identical to one taken on the cluster the state was exported from.
+  /// Throws
   /// std::invalid_argument on a fleet-size mismatch or inconsistent state
   /// (active VMs on a failed server, a VM ending past the horizon).
   void restore(Time frontier, Time horizon,
@@ -212,21 +232,45 @@ class ClusterState {
   /// vm.end): removes it from its host's active list, re-anchors the rebuild
   /// sentinel at frontier-1 (the VM occupied its server through the last
   /// completed unit), and rebuilds the host timeline so the freed capacity is
-  /// visible to the next scan. Returns the host server, or kNoServer when no
-  /// active VM carries this id.
+  /// visible to the next scan. The host is found through an id -> server
+  /// index (the lowest-indexed host when several active VMs share the id).
+  /// Returns the host server, or kNoServer when no active VM carries this id.
   ServerId retire_active(VmId vm);
 
  private:
+  /// One retirement-calendar entry: `vm` placed on `server` ends at `end`.
+  /// Entries whose VM already left (retire_active, fail_server) are skipped
+  /// when popped. Only `end` orders them: every entry due at an advance_to
+  /// is popped before any host is revisited, so pop order within it is moot.
+  struct Retirement {
+    Time end = 0;
+    std::size_t server = 0;
+    VmId vm = 0;
+    bool operator>(const Retirement& o) const { return end > o.end; }
+  };
+
   Time window_base(std::size_t i) const;
   bool should_rebuild(std::size_t i) const;
-  void rebuild(std::size_t i, Time base, Time horizon);
+  /// Replaces timeline `i` with an open one over [base, ...): the
+  /// retired-busy sentinel seeded, active VMs replayed in order. A server
+  /// hosting nothing comes out tree-less.
+  void rebuild(std::size_t i, Time base);
   /// Replaces timeline `i` with an empty-window stub at the frontier
   /// (epoch-advanced so scan caches cannot confuse it with live state).
   void stub_timeline(std::size_t i);
-  void recompute_next_retire();
+  /// Installs `fresh` as timeline i: its epoch is raised past the old one's,
+  /// resident units are re-counted and the envelope row is refreshed.
+  void install(std::size_t i, ServerTimeline fresh);
   /// Re-reads server i's envelope row (at its storage position) after a
   /// timeline mutation, and advances its shard's epoch.
   void refresh_envelope(std::size_t i);
+  /// Removes the first active VM on server i with this id (and, if given,
+  /// this end) from active_, the host index and the count; false if none.
+  bool remove_active(std::size_t i, VmId vm, Time end = 0);
+  /// Enters an active VM in the retirement calendar and the host index.
+  void track(std::size_t server, const VmSpec& vm);
+  /// Drops one (vm -> server i) entry from the host index.
+  void unindex(std::size_t i, VmId vm);
 
   std::vector<ServerSpec> servers_;
   /// Deterministic shard layout (built from servers_ at construction).
@@ -238,16 +282,22 @@ class ClusterState {
   std::vector<std::uint64_t> shard_epochs_;
   /// Active VMs per server, in placement order (rebuild replays them).
   std::vector<std::vector<VmSpec>> active_;
+  /// Retirement calendar: one entry per placement, popped in vm.end order.
+  std::priority_queue<Retirement, std::vector<Retirement>,
+                      std::greater<Retirement>>
+      calendar_;
+  /// VM id -> servers with an active VM of that id.
+  std::unordered_multimap<VmId, std::size_t> hosts_;
   /// Latest end among retired VMs per server (0 = none): the sentinel busy
   /// endpoint seeded into rebuilt timelines.
   std::vector<Time> retired_hi_;
   std::vector<ServerHealth> health_;
   Time frontier_ = 1;
   Time horizon_ = 0;
-  /// Earliest end among all active VMs (0 = none): advance_to's fast path.
-  Time next_retire_ = 0;
   std::size_t resident_units_ = 0;
   std::size_t active_count_ = 0;
+  /// Some placeable timeline may still be a fixed window from construction.
+  bool fixed_windows_ = false;
   bool eager_rebuild_ = false;
 };
 

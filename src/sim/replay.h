@@ -2,8 +2,9 @@
 // ArrivalStream (workload/arrival_stream.h), advancing the rolling horizon
 // to each arrival's start time, and reports what a serving system would
 // report — per-request placement latency (p50/p99), requests/sec, telescoped
-// energy, the peak resident timeline footprint the garbage collection
-// bounds, and — when a FaultPlan or retry policy is configured — the fault
+// energy, the peak resident segment-tree footprint (materialized tree units,
+// ClusterState::resident_time_units) the span-sized timelines and garbage
+// collection bound, and — when a FaultPlan or retry policy is configured — the fault
 // and retry outcomes (evacuations, downtime, deferred placements). Backs the
 // `esva stream` CLI command and the streaming section of
 // bench/perf_allocators.

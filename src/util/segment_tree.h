@@ -1,7 +1,8 @@
 // Lazy segment tree supporting range-add and range-max/min over doubles.
 //
-// Each server keeps one tree per resource dimension over the horizon [1, T];
-// the allocator's feasibility test "does VM j fit on server i throughout
+// Each server keeps one tree per resource dimension over its window (the
+// horizon [1, T] in batch runs, a span grown by grow() in streaming); the
+// allocator's feasibility test "does VM j fit on server i throughout
 // [t^s, t^e]?" becomes a single O(log T) range-max query:
 //     max_usage(interval) + demand <= capacity.
 //
@@ -34,6 +35,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace esva {
@@ -53,6 +55,40 @@ class RangeAddMaxTree {
   }
 
   std::size_t size() const { return n_; }
+
+  /// Grows the tree to `n` positions; positions size()..n-1 read 0. Both
+  /// size() (unless 0) and `n` must be powers of two. In a power-of-two tree
+  /// the node of a dyadic block holds the same doubles whatever the tree's
+  /// size, so the old nodes are copied to their new slots unchanged and only
+  /// the new ancestors above the old root are recomputed: a grown tree is
+  /// bit-identical to one built at size `n` and fed the same operations.
+  /// O(n).
+  void grow(std::size_t n) {
+    assert(n >= n_ && (n & (n - 1)) == 0 && (n_ & (n_ - 1)) == 0);
+    if (n == n_) return;
+    std::vector<double> mx(2 * n, 0.0);
+    std::vector<double> mn(2 * n, 0.0);
+    std::vector<double> d(n, 0.0);
+    if (n_ > 0) {
+      // Node x (depth k, x in [2^k, 2^(k+1))) covers the same block as node
+      // x + 2^k * (n / n_ - 1) of the larger tree.
+      const std::size_t scale = n / n_ - 1;
+      for (std::size_t level = 1; level < 2 * n_; level <<= 1) {
+        const std::size_t shift = level * scale;
+        for (std::size_t x = level; x < 2 * level; ++x) {
+          mx[x + shift] = mx_[x];
+          mn[x + shift] = mn_[x];
+          if (x < n_) d[x + shift] = d_[x];
+        }
+      }
+    }
+    const std::size_t old_root = n_ > 0 ? n / n_ : 0;
+    n_ = n;
+    mx_ = std::move(mx);
+    mn_ = std::move(mn);
+    d_ = std::move(d);
+    if (old_root > 0) pull(old_root);
+  }
 
   /// Adds `delta` to every position in [lo, hi] (inclusive). Requires
   /// lo <= hi < size().

@@ -604,5 +604,55 @@ TEST(ClusterStateCounter, ActiveCountMatchesScanThroughFaultsAndRetirement) {
   EXPECT_EQ(cluster.active_vms(), cluster.active_vms_scan());
 }
 
+// The running count against its recount after every engine operation of a
+// seeded chaos run (failures, recoveries, evacuations, retries, early
+// retirements), and the tree footprint back to 0 once everything retired.
+TEST(ClusterStateCounter, RecountHoldsAfterEveryChaosEngineOperation) {
+  const ProblemInstance problem = chaos_instance(23, /*profiled=*/false);
+  ChaosConfig chaos;
+  chaos.num_servers = static_cast<std::size_t>(kNumServers);
+  chaos.failures = 6;
+  chaos.window_lo = 5;
+  chaos.window_hi = 200;
+  chaos.mean_repair = 40;
+  Rng plan_rng(101);
+  const FaultPlan plan = random_fault_plan(chaos, plan_rng);
+  std::unique_ptr<PlacementPolicy> policy = min_incremental_policy();
+  Rng rng(7);
+  EngineOptions options;
+  options.auto_advance = true;
+  options.faults = &plan;
+  options.retry.max_attempts = 3;
+  PlacementEngine engine(problem.servers, *policy, rng, options);
+  const ClusterState& cluster = engine.cluster();
+  const auto recount = [&](const char* when, std::size_t k) {
+    ASSERT_EQ(cluster.active_vms(), cluster.active_vms_scan())
+        << when << " at request " << k;
+  };
+  std::size_t k = 0;
+  for (const std::size_t j : ordered_indices(problem, VmOrder::ByStartTime)) {
+    engine.submit(problem.vms[j]);
+    recount("submit", k);
+    if (k % 9 == 4) {
+      engine.retire_vm(problem.vms[j].id);  // just placed (or queued)
+      recount("retire_vm", k);
+    }
+    if (k % 13 == 6) {
+      engine.retire_vm(1000000);  // unknown id
+      recount("retire_vm(unknown)", k);
+    }
+    ++k;
+  }
+  engine.finish_stream();
+  recount("finish_stream", k);
+  Time last_end = 0;
+  for (const VmSpec& vm : problem.vms) last_end = std::max(last_end, vm.end);
+  engine.advance_to(last_end + 1000);
+  recount("final advance", k);
+  EXPECT_EQ(cluster.active_vms(), 0u);
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+  EXPECT_GT(engine.fault_stats().displaced, 0);
+}
+
 }  // namespace
 }  // namespace esva

@@ -220,5 +220,51 @@ TEST(RangeAddMaxTreeProperty, FirstAboveAndMinAllMatchNaive) {
   }
 }
 
+// grow() keeps every node's doubles, so a grown tree answers every query
+// bit-for-bit like a tree built at the larger size and fed the same adds —
+// even with deltas whose sums round differently under another tree shape.
+TEST(RangeAddMaxTreeProperty, GrowIsBitIdenticalToBuildingAtTheLargerSize) {
+  Rng rng(9001);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::size_t n = std::size_t{1} << rng.uniform_int(0, 4);
+    RangeAddMaxTree grown(0);
+    grown.grow(n);
+    struct Add {
+      std::size_t lo, hi;
+      double delta;
+    };
+    std::vector<Add> log;
+    for (int phase = 0; phase < 4; ++phase) {
+      for (int op = 0; op < 30; ++op) {
+        const auto lo = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        const auto hi = static_cast<std::size_t>(rng.uniform_int(
+            static_cast<std::int64_t>(lo), static_cast<std::int64_t>(n) - 1));
+        const Add add{lo, hi, rng.uniform_double(-3.0, 7.0)};
+        grown.add(add.lo, add.hi, add.delta);
+        log.push_back(add);
+      }
+      RangeAddMaxTree fresh(n);
+      for (const Add& add : log) fresh.add(add.lo, add.hi, add.delta);
+      ASSERT_EQ(grown.size(), fresh.size());
+      ASSERT_EQ(grown.max_all(), fresh.max_all()) << "trial " << trial;
+      ASSERT_EQ(grown.min_all(), fresh.min_all()) << "trial " << trial;
+      for (int q = 0; q < 40; ++q) {
+        const auto lo = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        const auto hi = static_cast<std::size_t>(rng.uniform_int(
+            static_cast<std::int64_t>(lo), static_cast<std::int64_t>(n) - 1));
+        ASSERT_EQ(grown.max(lo, hi), fresh.max(lo, hi)) << "trial " << trial;
+        const double threshold = rng.uniform_double(-3.0, 10.0);
+        const auto pred = [threshold](double v) { return v > threshold; };
+        ASSERT_EQ(grown.first_above(lo, hi, pred),
+                  fresh.first_above(lo, hi, pred));
+      }
+      n <<= rng.uniform_int(1, 2);
+      grown.grow(n);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace esva

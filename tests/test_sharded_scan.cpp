@@ -433,14 +433,13 @@ TEST(ShardedDifferential, ChaosReplayByteIdentical) {
 
 // A fault (or any per-server mutation) in shard A advances only shard A's
 // epoch: shard B's ClusterState::shard_epoch and its envelope rows are
-// byte-untouched. ensure_horizon is the documented exception (it rebuilds
-// every placeable timeline), so the horizon is grown once up front.
+// byte-untouched. Horizon growth rebuilds nothing, so it advances no shard's
+// epoch at all — in particular none of a shard that hosts nothing.
 TEST(ShardIsolation, FaultInOneShardLeavesOtherShardsUntouched) {
   ClusterState cluster(make_fleet(16), /*initial_horizon=*/0,
                        ShardOptions{4, ShardBy::kContiguous});
   const FleetPartition& partition = cluster.partition();
   ASSERT_EQ(partition.num_shards(), 4u);
-  cluster.ensure_horizon(300);  // pre-grow: no horizon growth below
 
   const auto epochs = [&] {
     std::vector<std::uint64_t> out;
@@ -472,13 +471,24 @@ TEST(ShardIsolation, FaultInOneShardLeavesOtherShardsUntouched) {
   std::size_t victim = 0;
   while (partition.shard_of(victim) != 1) ++victim;
 
-  // place: only the victim's shard moves.
+  // Horizon growth on an empty fleet: no shard epoch or row moves.
   std::vector<std::uint64_t> before = epochs();
   std::vector<std::uint64_t> rows_before = row_epochs();
+  cluster.ensure_horizon(300);
+  EXPECT_EQ(epochs(), before) << "ensure_horizon";
+  EXPECT_EQ(row_epochs(), rows_before) << "ensure_horizon";
+
+  // place: only the victim's shard moves.
   const VmSpec vm = testing::vm(1, 5, 30, 1.0, 1.0);
   ASSERT_TRUE(cluster.timelines()[victim].can_fit(vm));
   cluster.place(victim, vm);
   expect_only(1, before, "place");
+
+  // Horizon growth with shard 1 hosting a VM: the three shards that host
+  // nothing keep their epochs (and shard 1 keeps its own too).
+  before = epochs();
+  cluster.ensure_horizon(5000);
+  EXPECT_EQ(epochs(), before) << "ensure_horizon while hosting";
 
   // fail: displaces the VM, stubs the timeline — still shard-local.
   before = epochs();

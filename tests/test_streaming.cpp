@@ -242,6 +242,13 @@ TEST(StreamingProperty, RollingGcBoundsResidentTimelineMemory) {
 
 // --- advance_to edge cases -------------------------------------------------
 
+/// The O(1) active count against its O(fleet) recount — the check checked
+/// builds run inside the cluster, repeated here after every operation.
+void expect_recount(const ClusterState& cluster, const char* when) {
+  EXPECT_EQ(cluster.active_vms(), cluster.active_vms_scan()) << when;
+}
+
+
 TEST(StreamingProperty, AdvanceBackwardsIsANoOp) {
   ClusterState cluster({testing::basic_server(0)}, /*initial_horizon=*/64);
   cluster.place(0, testing::vm(0, 1, 10));
@@ -296,10 +303,13 @@ TEST(StreamingProperty, EagerRebuildTinyWindowsPreserveDecisions) {
       if (eager) {
         // Single-tick advances: every step retires at most a sliver and
         // forces a full rebuild with the sentinel.
-        for (Time t = engine.cluster().frontier(); t <= vm.start; ++t)
+        for (Time t = engine.cluster().frontier(); t <= vm.start; ++t) {
           engine.advance_to(t);
+          expect_recount(engine.cluster(), "advance_to");
+        }
       }
       result.decisions.push_back(engine.submit(vm).server);
+      expect_recount(engine.cluster(), "submit");
     }
     result.energy = engine.total_energy();
     return result;
@@ -308,6 +318,147 @@ TEST(StreamingProperty, EagerRebuildTinyWindowsPreserveDecisions) {
   const auto stressed = run(true);
   ASSERT_EQ(baseline.decisions, stressed.decisions);
   EXPECT_EQ(baseline.energy, stressed.energy);
+}
+
+// --- retirement calendar and host index ------------------------------------
+
+TEST(RetirementCalendar, RetiringAnUnknownIdReturnsNoServer) {
+  ClusterState cluster({testing::basic_server(0), testing::basic_server(1)},
+                       /*initial_horizon=*/0);
+  cluster.ensure_horizon(40);
+  cluster.place(1, testing::vm(7, 1, 30));
+  expect_recount(cluster, "place");
+  EXPECT_EQ(cluster.retire_active(99), kNoServer);
+  EXPECT_EQ(cluster.active_vms(), 1u);
+  expect_recount(cluster, "retire unknown");
+  EXPECT_EQ(cluster.retire_active(7), 1);
+  EXPECT_EQ(cluster.active_vms(), 0u);
+  expect_recount(cluster, "retire");
+  EXPECT_EQ(cluster.retire_active(7), kNoServer);  // already gone
+  EXPECT_EQ(cluster.active_vms(), 0u);
+  expect_recount(cluster, "retire twice");
+}
+
+TEST(RetirementCalendar, RetireThenAdvancePastTheEndRetiresOnce) {
+  ClusterState cluster({testing::basic_server(0)}, /*initial_horizon=*/0);
+  cluster.ensure_horizon(40);
+  cluster.place(0, testing::vm(1, 1, 10));
+  cluster.place(0, testing::vm(2, 1, 30));
+  cluster.advance_to(5);
+  expect_recount(cluster, "advance 5");
+  ASSERT_EQ(cluster.retire_active(1), 0);
+  EXPECT_EQ(cluster.active_vms(), 1u);
+  expect_recount(cluster, "retire");
+  // vm1's calendar entry is now stale: popping it must neither retire vm2
+  // early nor decrement the count a second time.
+  cluster.advance_to(20);
+  EXPECT_EQ(cluster.active_vms(), 1u);
+  expect_recount(cluster, "advance past vm1's end");
+  cluster.advance_to(40);
+  EXPECT_EQ(cluster.active_vms(), 0u);
+  expect_recount(cluster, "advance past vm2's end");
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+}
+
+TEST(RetirementCalendar, FailThenAdvanceRetiresTheReplacedVmOnce) {
+  ClusterState cluster({testing::basic_server(0), testing::basic_server(1)},
+                       /*initial_horizon=*/0);
+  cluster.ensure_horizon(40);
+  cluster.place(0, testing::vm(1, 1, 10));
+  cluster.place(1, testing::vm(2, 1, 20));
+  cluster.advance_to(5);
+  const std::vector<VmSpec> displaced = cluster.fail_server(0);
+  ASSERT_EQ(displaced.size(), 1u);
+  EXPECT_EQ(cluster.active_vms(), 1u);
+  expect_recount(cluster, "fail");
+  // The remainder lands on the survivor under the same id and end; the
+  // stale entry from server 0 must not touch it.
+  cluster.place(1, clip_to(displaced[0], 5));
+  EXPECT_EQ(cluster.active_vms(), 2u);
+  expect_recount(cluster, "re-place");
+  cluster.advance_to(11);
+  EXPECT_EQ(cluster.active_vms(), 1u);
+  expect_recount(cluster, "advance past vm1's end");
+  EXPECT_EQ(cluster.retire_active(1), kNoServer);
+  cluster.advance_to(21);
+  EXPECT_EQ(cluster.active_vms(), 0u);
+  expect_recount(cluster, "advance past vm2's end");
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+}
+
+// A cluster built over a fixed window (run_batch's initial_horizon) keeps
+// full-window trees until a VM ends past that window; then every placeable
+// timeline switches to an open window once, keeping what it hosts.
+TEST(RetirementCalendar, FixedWindowClusterOpensPastItsInitialHorizon) {
+  ClusterState cluster({testing::basic_server(0), testing::basic_server(1)},
+                       /*initial_horizon=*/64);
+  EXPECT_FALSE(cluster.timelines()[0].open());
+  EXPECT_EQ(cluster.resident_time_units(), 2u * 64u);
+  cluster.place(0, testing::vm(1, 1, 60, 6.0, 1.0));
+  cluster.ensure_horizon(64);  // covered: nothing changes
+  EXPECT_FALSE(cluster.timelines()[0].open());
+  cluster.ensure_horizon(150);
+  EXPECT_TRUE(cluster.timelines()[0].open());
+  EXPECT_TRUE(cluster.timelines()[1].open());
+  EXPECT_EQ(cluster.timelines()[1].resident_units(), 0u);
+  EXPECT_FALSE(cluster.timelines()[0].can_fit(testing::vm(2, 50, 150, 6.0)));
+  EXPECT_TRUE(cluster.timelines()[0].can_fit(testing::vm(2, 61, 150, 6.0)));
+  cluster.place(0, testing::vm(2, 61, 150, 6.0));
+  EXPECT_EQ(cluster.active_vms(), 2u);
+  expect_recount(cluster, "place past the initial horizon");
+  cluster.advance_to(151);
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+}
+
+// At fleet scale, horizon growth touches no server and retirement touches
+// only hosts: idle servers' envelope rows keep their epochs, and the tree
+// footprint follows what the fleet holds, back to 0 when it holds nothing.
+TEST(RetirementCalendar, IdleServersStayUntouchedAtTenThousandServers) {
+  constexpr std::size_t kFleet = 10000;
+  std::vector<ServerSpec> fleet;
+  for (std::size_t i = 0; i < kFleet; ++i)
+    fleet.push_back(testing::basic_server(static_cast<ServerId>(i)));
+  ClusterState cluster(std::move(fleet), /*initial_horizon=*/0);
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+  const std::vector<std::size_t> hosts = {0, 4242, kFleet - 1};
+  for (std::size_t k = 0; k < hosts.size(); ++k) {
+    const VmSpec vm = testing::vm(static_cast<VmId>(k), 1,
+                                  20 + 10 * static_cast<Time>(k));
+    cluster.ensure_horizon(vm.end);
+    cluster.place(hosts[k], vm);
+  }
+  std::size_t hosted_units = 0;
+  for (const std::size_t i : hosts)
+    hosted_units += cluster.timelines()[i].resident_units();
+  EXPECT_EQ(cluster.resident_time_units(), hosted_units);
+
+  std::vector<std::uint64_t> epochs(kFleet);
+  for (std::size_t r = 0; r < kFleet; ++r)
+    epochs[r] = cluster.envelopes().epoch(r);
+  const std::uint64_t shard_epoch = cluster.shard_epoch(0);
+  for (const Time end : {Time{1000}, Time{100000}, Time{5000000}})
+    cluster.ensure_horizon(end);
+  EXPECT_GE(cluster.horizon(), 5000000);
+  for (std::size_t r = 0; r < kFleet; ++r)
+    ASSERT_EQ(cluster.envelopes().epoch(r), epochs[r]) << "row " << r;
+  EXPECT_EQ(cluster.shard_epoch(0), shard_epoch);
+  EXPECT_EQ(cluster.resident_time_units(), hosted_units);
+
+  cluster.advance_to(25);  // retires vm0 only
+  EXPECT_EQ(cluster.active_vms(), 2u);
+  expect_recount(cluster, "advance 25");
+  for (std::size_t r = 0; r < kFleet; ++r) {
+    const std::size_t i = cluster.partition().original_of()[r];
+    if (i != hosts[0]) {
+      ASSERT_EQ(cluster.envelopes().epoch(r), epochs[r]) << "row " << r;
+    }
+  }
+  cluster.advance_to(100);
+  EXPECT_EQ(cluster.active_vms(), 0u);
+  expect_recount(cluster, "advance 100");
+  EXPECT_EQ(cluster.resident_time_units(), 0u);
+  ASSERT_TRUE(cluster.envelopes().debug_validate(
+      cluster.timelines(), cluster.partition().original_of()));
 }
 
 // --- engine contract -------------------------------------------------------

@@ -443,6 +443,106 @@ TEST(ProfiledTimeline, CoalescedRunsMatchPerUnitSemantics) {
   }
 }
 
+// --- span-sized timelines: open windows grow their trees on demand ---------
+
+TEST(SpanSizedTimeline, HostsNothingHoldsNoTreesAndGrowsByDoubling) {
+  ServerTimeline timeline(basic_server(), /*base=*/5,
+                          ServerTimeline::kOpenHorizon);
+  EXPECT_TRUE(timeline.open());
+  EXPECT_EQ(timeline.resident_units(), 0u);
+  EXPECT_EQ(timeline.peak_cpu_usage(), 0.0);
+  EXPECT_EQ(timeline.floor_cpu_usage(), 0.0);
+  // Any end fits an open window; units past the (empty) span read zero.
+  EXPECT_EQ(timeline.quick_fit(vm(0, 5, 1000000)), QuickFit::kFits);
+  EXPECT_EQ(timeline.max_cpu_usage(5, 1000), 0.0);
+  timeline.place(vm(0, 10, 20, 4.0, 2.0));
+  const std::size_t first = timeline.resident_units();
+  EXPECT_GE(first, 16u);
+  EXPECT_EQ(first & (first - 1), 0u);  // a power of two
+  EXPECT_EQ(timeline.span_end(), 5 + static_cast<Time>(first) - 1);
+  // A placement inside the span does not grow it; one past it doubles it.
+  timeline.place(vm(1, 12, 14, 1.0, 1.0));
+  EXPECT_EQ(timeline.resident_units(), first);
+  timeline.place(vm(2, 30, timeline.span_end() + 1, 1.0, 1.0));
+  EXPECT_EQ(timeline.resident_units(), 2 * first);
+  EXPECT_EQ(timeline.cpu_usage_at(15), 4.0);
+  EXPECT_EQ(timeline.cpu_usage_at(timeline.span_end() + 7), 0.0);
+  // The window envelope includes the zero usage past the span.
+  EXPECT_EQ(timeline.peak_cpu_usage(), 5.0);  // vm0 + vm1 over [12, 14]
+  EXPECT_EQ(timeline.floor_cpu_usage(), 0.0);
+}
+
+// Differential fuzz: a timeline whose span grows on demand answers every
+// query exactly like one whose trees cover the whole window from the start,
+// across random place / LIFO-undo / query sequences. Demands are multiples
+// of 1/4, so every usage sum is exact whatever the tree shape; the full
+// window ends one unit past every VM, so both envelopes see a zero unit.
+TEST(SpanSizedTimeline, AgreesWithFullWindowOnRandomPlaceUndoQuery) {
+  Rng rng(8080);
+  const auto quarter = [&](int lo, int hi) {
+    return static_cast<double>(rng.uniform_int(lo, hi)) / 4.0;
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    const Time base = static_cast<Time>(rng.uniform_int(1, 20));
+    const Time last = base + static_cast<Time>(rng.uniform_int(20, 600));
+    ServerTimeline span(basic_server(), base, ServerTimeline::kOpenHorizon);
+    ServerTimeline full(basic_server(), base, last + 1);
+    const auto random_vm = [&](VmId id) {
+      // Mostly inside the window; sometimes starting behind its base.
+      const Time start = static_cast<Time>(
+          rng.uniform_int(std::max<Time>(1, base - 3), last));
+      const Time end = static_cast<Time>(
+          rng.uniform_int(start, std::min<Time>(last, start + 80)));
+      if (rng.bernoulli(0.25)) {
+        std::vector<Resources> levels;
+        for (Time t = start; t <= end; ++t)
+          levels.push_back({quarter(0, 44), quarter(0, 24)});
+        return profiled_vm(id, start, std::move(levels));
+      }
+      // Up to 11 units against capacity 10: some VMs violate even where
+      // the server is empty, including past the span.
+      return vm(id, start, end, quarter(1, 44), quarter(1, 44));
+    };
+    std::vector<std::pair<ServerTimeline::PlaceRecord, VmSpec>> placed;
+    std::vector<ServerTimeline::PlaceRecord> full_records;
+    for (int op = 0; op < 150; ++op) {
+      const int kind = static_cast<int>(rng.uniform_int(0, 9));
+      if (kind < 4) {  // place
+        const VmSpec v = random_vm(op);
+        ASSERT_EQ(span.can_fit(v), full.can_fit(v)) << trial << "/" << op;
+        if (!span.can_fit(v)) continue;
+        placed.emplace_back(span.place(v), v);
+        full_records.push_back(full.place(v));
+      } else if (kind < 6) {  // LIFO undo
+        if (placed.empty()) continue;
+        span.undo(placed.back().first, placed.back().second);
+        full.undo(full_records.back(), placed.back().second);
+        placed.pop_back();
+        full_records.pop_back();
+      } else {  // query
+        const VmSpec v = random_vm(1000 + op);
+        ASSERT_EQ(span.quick_fit(v), full.quick_fit(v)) << trial << "/" << op;
+        ASSERT_EQ(span.can_fit(v), full.can_fit(v)) << trial << "/" << op;
+        const FitCheck a = span.check_fit(v);
+        const FitCheck b = full.check_fit(v);
+        ASSERT_EQ(a.ok, b.ok) << trial << "/" << op;
+        ASSERT_EQ(a.reject, b.reject) << trial << "/" << op;
+        ASSERT_EQ(a.at, b.at) << trial << "/" << op;
+        const Time lo = static_cast<Time>(rng.uniform_int(base, last + 1));
+        const Time hi = static_cast<Time>(rng.uniform_int(lo, last + 1));
+        ASSERT_EQ(span.max_cpu_usage(lo, hi), full.max_cpu_usage(lo, hi));
+        ASSERT_EQ(span.max_mem_usage(lo, hi), full.max_mem_usage(lo, hi));
+      }
+      ASSERT_EQ(span.peak_cpu_usage(), full.peak_cpu_usage());
+      ASSERT_EQ(span.peak_mem_usage(), full.peak_mem_usage());
+      ASSERT_EQ(span.floor_cpu_usage(), full.floor_cpu_usage());
+      ASSERT_EQ(span.floor_mem_usage(), full.floor_mem_usage());
+      ASSERT_LE(span.span_end(),
+                std::max<Time>(base + 63, 2 * last - base + 1));
+    }
+  }
+}
+
 TEST(MakeTimelines, OnePerServer) {
   std::vector<ServerSpec> servers{basic_server(0), basic_server(1)};
   const auto timelines = make_timelines(servers, 42);
