@@ -24,15 +24,14 @@ struct BestFitCpuScore {
 
 std::unique_ptr<PlacementPolicy> BestFitCpuAllocator::make_policy() const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/false,
-                          BestFitCpuScore{}, options_.scan, obs_);
+                          BestFitCpuScore{}, obs_);
 }
 
 Allocation BestFitCpuAllocator::allocate(const ProblemInstance& problem,
                                          Rng& rng) {
   ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
   const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, options_.order, rng, obs_,
-                   options_.scan.shard_options());
+  return run_batch(problem, *policy, options_.order, rng, obs_);
 }
 
 }  // namespace esva

@@ -41,15 +41,14 @@ struct DotProductFitScore {
 
 std::unique_ptr<PlacementPolicy> DotProductFitAllocator::make_policy() const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/false,
-                          DotProductFitScore{}, options_.scan, obs_);
+                          DotProductFitScore{}, obs_);
 }
 
 Allocation DotProductFitAllocator::allocate(const ProblemInstance& problem,
                                             Rng& rng) {
   ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
   const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, options_.order, rng, obs_,
-                   options_.scan.shard_options());
+  return run_batch(problem, *policy, options_.order, rng, obs_);
 }
 
 }  // namespace esva

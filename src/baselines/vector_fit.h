@@ -18,9 +18,6 @@ class DotProductFitAllocator final : public Allocator {
  public:
   struct Options {
     VmOrder order = VmOrder::ByStartTime;
-    /// Scan-engine knobs (core/candidate_scan.h); any setting yields the
-    /// identical assignment.
-    ScanConfig scan;
   };
 
   DotProductFitAllocator() = default;
@@ -28,10 +25,6 @@ class DotProductFitAllocator final : public Allocator {
   explicit DotProductFitAllocator(Options options) : options_(options) {}
 
   std::string name() const override { return "dot-product-fit"; }
-
-  void set_scan_config(const ScanConfig& config) override {
-    options_.scan = config;
-  }
 
   /// Deterministic: maximizes the cosine between the VM's demand and the
   /// server's peak remaining capacity over the VM's interval; ties toward

@@ -104,14 +104,14 @@ class ServerTimeline {
   /// Mutation counter: bumped by every place() and undo(), never reused.
   /// Anything derived from this timeline's state (feasibility verdicts,
   /// incremental-cost deltas) stays valid exactly while the epoch is
-  /// unchanged — the invariant behind the shape-keyed scan cache
-  /// (core/candidate_scan.h).
+  /// unchanged — the coherence witness EnvelopeStore rows carry
+  /// (core/envelope_store.h).
   std::uint64_t epoch() const { return epoch_; }
 
   /// Raises the epoch to at least `floor`. A rebuilt timeline (rolling
   /// garbage collection) starts from the epoch of the timeline it replaces,
-  /// so external caches keyed by epoch can never mistake the fresh state
-  /// for a stale one.
+  /// so a row stored against the old timeline can never validate against
+  /// the fresh one.
   void inherit_epoch(std::uint64_t floor);
 
   /// Inserts a raw busy interval without reserving resources. Used when
@@ -129,8 +129,9 @@ class ServerTimeline {
   /// O(1) triage: decides can_fit(vm) from the window-wide usage envelope
   /// when possible, without touching the trees. kFits / kCannotFit agree
   /// with can_fit exactly (same floating-point comparisons); kUnknown means
-  /// the caller must fall back to can_fit. The scan cache skips its
-  /// bookkeeping entirely for probes decided here.
+  /// the caller must fall back to can_fit. EnvelopeStore::classify is its
+  /// packed twin; this per-timeline form is the oracle it is fuzzed
+  /// against.
   QuickFit quick_fit(const VmSpec& vm) const;
 
   /// can_fit with a diagnosis: which dimension failed first, and where.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 
 #include "core/streaming.h"
 #include "obs/metrics.h"
@@ -11,12 +10,6 @@ namespace esva {
 
 std::unique_ptr<PlacementPolicy> Allocator::make_policy() const {
   return nullptr;
-}
-
-int ScanConfig::resolved_threads() const {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 Timer* allocate_timer(MetricsRegistry* metrics, const std::string& allocator) {
@@ -35,20 +28,6 @@ void record_allocation_metrics(MetricsRegistry* metrics,
   metrics->inc(prefix + "feasible_candidates", feasible_candidates);
   metrics->inc(prefix + "rejections", rejections);
   metrics->inc(prefix + "unallocated", static_cast<std::int64_t>(unallocated));
-}
-
-void record_scan_cache_metrics(MetricsRegistry* metrics,
-                               const std::string& allocator,
-                               std::int64_t cache_hits,
-                               std::int64_t cache_misses,
-                               std::int64_t cache_quick_decided,
-                               bool cache_auto_disabled) {
-  if (!metrics) return;
-  const std::string prefix = "allocator." + allocator + ".";
-  metrics->inc(prefix + "cache_hits", cache_hits);
-  metrics->inc(prefix + "cache_misses", cache_misses);
-  metrics->inc(prefix + "cache_quick_decided", cache_quick_decided);
-  metrics->inc(prefix + "cache_auto_disabled", cache_auto_disabled ? 1 : 0);
 }
 
 std::string to_string(VmOrder order) {

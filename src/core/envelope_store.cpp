@@ -18,13 +18,6 @@ void EnvelopeStore::reset(const std::vector<ServerTimeline>& timelines) {
   for (std::size_t i = 0; i < count_; ++i) refresh(i, timelines[i]);
 }
 
-void EnvelopeStore::reset(const std::vector<ServerTimeline>& timelines,
-                          const std::vector<std::size_t>& original_of) {
-  assert(original_of.size() == timelines.size());
-  reset(timelines);
-  for (std::size_t r = 0; r < count_; ++r) refresh(r, timelines[original_of[r]]);
-}
-
 void EnvelopeStore::refresh(std::size_t i, const ServerTimeline& timeline) {
   assert(i < count_);
   peak_cpu_[i] = timeline.peak_cpu_usage();
@@ -38,14 +31,14 @@ void EnvelopeStore::refresh(std::size_t i, const ServerTimeline& timeline) {
   epoch_[i] = timeline.epoch();
 }
 
-void EnvelopeStore::classify(const Probe& probe, std::size_t lo,
-                             std::size_t hi, std::uint8_t* verdicts) const {
+void EnvelopeStore::classify(const Probe& probe,
+                             std::uint8_t* verdicts) const {
   // The branch-free verdict arithmetic below encodes the selects as
   // (!fits) * (2 - reject), which maps (fits, reject) onto the enum values.
   static_assert(static_cast<int>(QuickFit::kFits) == 0);
   static_assert(static_cast<int>(QuickFit::kCannotFit) == 1);
   static_assert(static_cast<int>(QuickFit::kUnknown) == 2);
-  assert(lo <= hi && hi <= count_);
+  const std::size_t n = count_;
   const double cpu = probe.cpu;
   const double mem = probe.mem;
   const Time start = probe.start;
@@ -67,7 +60,7 @@ void EnvelopeStore::classify(const Probe& probe, std::size_t lo,
   // quick_fit short-circuits past cannot change any verdict), then combined
   // with non-short-circuiting & / | into two selects. No branches in the
   // loop body -> the compiler vectorizes the sweep across servers.
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const bool window_ok = (start >= base[i]) & (end <= horizon[i]);
     const bool cpu_free = peak_cpu[i] + cpu <= cap_cpu[i] + kEps;
     const bool mem_free = peak_mem[i] + mem <= cap_mem[i] + kEps;
@@ -96,25 +89,6 @@ bool EnvelopeStore::debug_validate(
     if (base_[i] != t.base()) return false;
     if (horizon_[i] != t.horizon()) return false;
     if (epoch_[i] != t.epoch()) return false;
-  }
-  return true;
-}
-
-bool EnvelopeStore::debug_validate(
-    const std::vector<ServerTimeline>& timelines,
-    const std::vector<std::size_t>& original_of) const {
-  if (timelines.size() != count_ || original_of.size() != count_) return false;
-  for (std::size_t r = 0; r < count_; ++r) {
-    const ServerTimeline& t = timelines[original_of[r]];
-    if (peak_cpu_[r] != t.peak_cpu_usage()) return false;
-    if (peak_mem_[r] != t.peak_mem_usage()) return false;
-    if (floor_cpu_[r] != t.floor_cpu_usage()) return false;
-    if (floor_mem_[r] != t.floor_mem_usage()) return false;
-    if (cap_cpu_[r] != t.spec().capacity.cpu) return false;
-    if (cap_mem_[r] != t.spec().capacity.mem) return false;
-    if (base_[r] != t.base()) return false;
-    if (horizon_[r] != t.horizon()) return false;
-    if (epoch_[r] != t.epoch()) return false;
   }
   return true;
 }

@@ -58,7 +58,7 @@ namespace esva {
 class EnvelopeStore {
  public:
   /// The per-VM constants of one classify() sweep, hoisted out of the
-  /// per-server loop (the analogue of ScanCache::Key for triage).
+  /// per-server loop.
   struct Probe {
     double cpu = 0.0;      ///< peak CPU demand
     double mem = 0.0;      ///< peak memory demand
@@ -73,21 +73,12 @@ class EnvelopeStore {
   }
 
   /// Rebuilds every row from `timelines` (the ClusterState constructor),
-  /// row i mirroring timelines[i] (identity layout).
+  /// row i mirroring timelines[i].
   void reset(const std::vector<ServerTimeline>& timelines);
-
-  /// Permuted reset: row r mirrors timelines[original_of[r]]. ClusterState
-  /// uses this to lay rows out in *shard storage order* (core/shard.h), so
-  /// each shard's rows form one contiguous block the two-level scan sweeps
-  /// independently. `original_of` must be a permutation of
-  /// [0, timelines.size()).
-  void reset(const std::vector<ServerTimeline>& timelines,
-             const std::vector<std::size_t>& original_of);
 
   /// Re-reads row `i` from its timeline: peak/floor envelope (O(1) tree
   /// roots), capacity, window bounds, epoch. Called after every mutation of
-  /// the mirrored timeline; under a sharded layout `i` is the *storage row*
-  /// (FleetPartition::storage_of), not the server index.
+  /// the mirrored timeline.
   void refresh(std::size_t i, const ServerTimeline& timeline);
 
   std::size_t size() const { return count_; }
@@ -98,18 +89,7 @@ class EnvelopeStore {
   /// ascending by server index, so the scan's strict-< arg-min reduction is
   /// untouched. Bit-for-bit equal to calling timelines[i].quick_fit(vm) for
   /// each i (header comment; fuzzed in tests/test_envelope_scan.cpp).
-  void classify(const Probe& probe, std::uint8_t* verdicts) const {
-    classify(probe, 0, count_, verdicts);
-  }
-
-  /// Block view of the sweep: classifies rows [lo, hi) only, writing
-  /// verdicts[lo..hi) and touching nothing else. The sharded scan runs one
-  /// block per shard task — blocks are disjoint, so concurrent sweeps into a
-  /// shared verdict buffer are race-free. Row-for-row identical to the
-  /// full-fleet sweep (the loop body is the same arithmetic on the same
-  /// rows; splitting a contiguous sweep cannot change any verdict).
-  void classify(const Probe& probe, std::size_t lo, std::size_t hi,
-                std::uint8_t* verdicts) const;
+  void classify(const Probe& probe, std::uint8_t* verdicts) const;
 
   /// The epoch stored with row `i` — equals timelines[i].epoch() whenever
   /// the store is coherent.
@@ -120,11 +100,6 @@ class EnvelopeStore {
   /// segment-tree roots max_all/min_all and the epoch). Never called on hot
   /// paths — it is O(servers) and asserts stay live in release builds here.
   bool debug_validate(const std::vector<ServerTimeline>& timelines) const;
-
-  /// Permuted coherence check: row r must mirror timelines[original_of[r]]
-  /// (the sharded storage layout's twin of debug_validate).
-  bool debug_validate(const std::vector<ServerTimeline>& timelines,
-                      const std::vector<std::size_t>& original_of) const;
 
  private:
   std::size_t count_ = 0;

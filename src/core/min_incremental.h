@@ -16,9 +16,7 @@
 // Complexity: O(m · n · log T) — per VM, each server needs an O(log T)
 // feasibility probe (segment trees) plus an O(local) structure-cost delta.
 // The per-VM scan runs through the candidate-scan engine
-// (core/candidate_scan.h): Options::scan parallelizes it across a thread
-// pool and/or memoizes per-(server, shape) probes, bit-identical to the
-// serial scan by construction.
+// (core/candidate_scan.h): an envelope triage sweep, then one serial arg-min.
 
 #pragma once
 
@@ -34,9 +32,6 @@ class MinIncrementalAllocator final : public Allocator {
     /// Presentation order; the paper uses ByStartTime. Exposed for the
     /// ordering ablation.
     VmOrder order = VmOrder::ByStartTime;
-    /// Scan-engine knobs (threads, shape cache); defaults are the serial
-    /// uncached loop. Any setting yields the identical assignment.
-    ScanConfig scan;
   };
 
   MinIncrementalAllocator() = default;
@@ -44,12 +39,8 @@ class MinIncrementalAllocator final : public Allocator {
 
   std::string name() const override { return "min-incremental"; }
 
-  void set_scan_config(const ScanConfig& config) override {
-    options_.scan = config;
-  }
-
   /// Deterministic (ignores rng): ties on incremental cost break toward the
-  /// lowest server id, at every thread count.
+  /// lowest server id.
   Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
 
   /// The same decision loop as allocate(), one request at a time

@@ -44,10 +44,8 @@ std::string to_string(PlacementReject reject) {
 }
 
 ClusterState::ClusterState(std::vector<ServerSpec> servers,
-                           Time initial_horizon, ShardOptions shard)
+                           Time initial_horizon)
     : servers_(std::move(servers)),
-      partition_(servers_, shard),
-      shard_epochs_(partition_.num_shards(), 0),
       active_(servers_.size()),
       retired_hi_(servers_.size(), 0),
       health_(servers_.size(), ServerHealth::kUp),
@@ -57,14 +55,13 @@ ClusterState::ClusterState(std::vector<ServerSpec> servers,
   timelines_.reserve(servers_.size());
   for (const ServerSpec& spec : servers_)
     timelines_.emplace_back(spec, /*base=*/1, window);
-  envelopes_.reset(timelines_, partition_.original_of());
+  envelopes_.reset(timelines_);
   for (const ServerTimeline& timeline : timelines_)
     resident_units_ += timeline.resident_units();
 }
 
 void ClusterState::refresh_envelope(std::size_t i) {
-  envelopes_.refresh(partition_.storage_of(i), timelines_[i]);
-  ++shard_epochs_[partition_.shard_of(i)];
+  envelopes_.refresh(i, timelines_[i]);
 }
 
 Time ClusterState::window_base(std::size_t i) const {
@@ -87,8 +84,8 @@ bool ClusterState::should_rebuild(std::size_t i) const {
 }
 
 void ClusterState::install(std::size_t i, ServerTimeline fresh) {
-  // Epochs must stay unique across rebuilds or the scan cache could mistake
-  // the fresh timeline for a stale snapshot it has entries for.
+  // Epochs must stay unique across rebuilds, so an envelope row carrying the
+  // old epoch can never pass debug_validate against the fresh timeline.
   fresh.inherit_epoch(timelines_[i].epoch() + 1);
   resident_units_ += fresh.resident_units();
   resident_units_ -= timelines_[i].resident_units();
@@ -206,15 +203,7 @@ FleetSample ClusterState::sample(Time t) const {
   FleetSample s;
   s.t = t;
   s.active_vms = static_cast<std::uint32_t>(active_count_);
-  // Partitioned fleets get the per-shard load breakdown alongside the
-  // fleet-wide totals; single-shard clusters leave it empty (the historical
-  // sample shape).
-  const bool per_shard = partition_.num_shards() > 1;
-  if (per_shard) s.shards.resize(partition_.num_shards());
   for (std::size_t i = 0; i < servers_.size(); ++i) {
-    ShardLoad* shard = per_shard ? &s.shards[partition_.shard_of(i)] : nullptr;
-    if (shard)
-      shard->active_vms += static_cast<std::uint32_t>(active_[i].size());
     if (health_[i] == ServerHealth::kFailed) {
       ++s.failed_servers;
       continue;
@@ -232,22 +221,15 @@ FleetSample ClusterState::sample(Time t) const {
       }
     }
     const bool hosting = cpu > 0.0 || mem > 0.0;
-    if (hosting) {
-      const double power = power_at_usage(servers_[i], cpu);
-      s.total_power_w += power;
-      if (shard) shard->power_w += power;
-    }
+    if (hosting) s.total_power_w += power_at_usage(servers_[i], cpu);
     if (health_[i] == ServerHealth::kDrained) {
       ++s.drained_servers;
       continue;  // not placeable: no spare capacity contribution
     }
-    if (hosting) {
+    if (hosting)
       ++s.busy_servers;
-      if (shard) ++shard->busy_servers;
-    } else {
+    else
       ++s.idle_servers;
-      if (shard) ++shard->idle_servers;
-    }
     s.spare_cpu += servers_[i].capacity.cpu - cpu;
     s.spare_mem += servers_[i].capacity.mem - mem;
   }
@@ -391,7 +373,7 @@ VmSpec clip_to(VmSpec vm, Time t) {
 PlacementEngine::PlacementEngine(std::vector<ServerSpec> servers,
                                  PlacementPolicy& policy, Rng& rng,
                                  EngineOptions options)
-    : cluster_(std::move(servers), options.initial_horizon, options.shard),
+    : cluster_(std::move(servers), options.initial_horizon),
       policy_(policy),
       rng_(rng),
       options_(options) {
@@ -756,12 +738,10 @@ void PlacementEngine::drain_retries(Time now) {
 }
 
 Allocation run_batch(const ProblemInstance& problem, PlacementPolicy& policy,
-                     VmOrder order, Rng& rng, const ObsContext& obs,
-                     const ShardOptions& shard) {
+                     VmOrder order, Rng& rng, const ObsContext& obs) {
   EngineOptions options;
   options.initial_horizon = problem.horizon;
   options.obs = obs;
-  options.shard = shard;
   PlacementEngine engine(problem.servers, policy, rng, options);
   Allocation alloc;
   alloc.assignment.assign(problem.num_vms(), kNoServer);

@@ -72,7 +72,6 @@
 #include "core/envelope_store.h"
 #include "core/cost_model.h"
 #include "core/fault_plan.h"
-#include "core/shard.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -98,11 +97,8 @@ class ClusterState {
  public:
   /// Fixed-window timelines over [1, initial_horizon], trees built at
   /// construction (run_batch); pass 0 for open-ended, tree-less timelines
-  /// that grow on demand (the streaming replay default). `shard` partitions
-  /// the fleet into contiguous envelope blocks (core/shard.h); the default
-  /// single-shard partition reproduces the historical unsharded layout.
-  ClusterState(std::vector<ServerSpec> servers, Time initial_horizon,
-               ShardOptions shard = {});
+  /// that grow on demand (the streaming replay default).
+  ClusterState(std::vector<ServerSpec> servers, Time initial_horizon);
 
   std::size_t num_servers() const { return timelines_.size(); }
   const std::vector<ServerTimeline>& timelines() const { return timelines_; }
@@ -111,28 +107,10 @@ class ClusterState {
   /// Packed SoA mirror of every timeline's window envelope
   /// (core/envelope_store.h), refreshed O(1) at each timeline mutation —
   /// place, GC rebuild, fault stub, recovery — so the candidate scan's
-  /// envelope triage pass always reads coherent rows. Rows are laid out in
-  /// the partition's *storage order* (one contiguous block per shard); row
-  /// partition().storage_of(i) mirrors timelines()[i] and carries its
-  /// epoch(). Under the default single-shard partition storage order is the
-  /// identity, exactly the historical layout. Coherence is fuzzed via
-  /// EnvelopeStore::debug_validate in tests/test_envelope_scan.cpp and
-  /// tests/test_sharded_scan.cpp.
+  /// envelope triage pass always reads coherent rows. Row i mirrors
+  /// timelines()[i] and carries its epoch(). Coherence is fuzzed via
+  /// EnvelopeStore::debug_validate in tests/test_envelope_scan.cpp.
   const EnvelopeStore& envelopes() const { return envelopes_; }
-
-  /// The deterministic server -> shard-block mapping the envelope rows are
-  /// laid out by. Immutable for the cluster's lifetime.
-  const FleetPartition& partition() const { return partition_; }
-
-  /// Per-shard mutation counter: bumped whenever any timeline in shard `s`
-  /// mutates (place, GC rebuild, fault stub, recovery). Every mutation is a
-  /// per-server operation, so activity in one shard never advances another
-  /// shard's epoch, and ensure_horizon advances none — the isolation
-  /// property behind per-shard incremental consumers
-  /// (tests/test_sharded_scan.cpp pins it). The one exception is the
-  /// one-time switch of a fixed-window cluster (initial_horizon > 0) to open
-  /// windows when a VM first ends past its initial horizon.
-  std::uint64_t shard_epoch(std::size_t s) const { return shard_epochs_[s]; }
 
   /// Requests must start at or after the frontier; structure strictly before
   /// it is garbage-collectible.
@@ -140,8 +118,8 @@ class ClusterState {
   Time horizon() const { return horizon_; }
 
   /// Grows the planning horizon to cover `end` (doubling of the forward
-  /// window). O(1): open timelines need no rebuild, so no timeline,
-  /// envelope row or shard epoch changes. No-op when already covered.
+  /// window). O(1): open timelines need no rebuild, so no timeline or
+  /// envelope row changes. No-op when already covered.
   void ensure_horizon(Time end);
 
   /// Commits a placement chosen by a policy. The VM must fit (asserted by
@@ -256,13 +234,12 @@ class ClusterState {
   /// hosting nothing comes out tree-less.
   void rebuild(std::size_t i, Time base);
   /// Replaces timeline `i` with an empty-window stub at the frontier
-  /// (epoch-advanced so scan caches cannot confuse it with live state).
+  /// (epoch-advanced, so its envelope row reads as a new mutation).
   void stub_timeline(std::size_t i);
   /// Installs `fresh` as timeline i: its epoch is raised past the old one's,
   /// resident units are re-counted and the envelope row is refreshed.
   void install(std::size_t i, ServerTimeline fresh);
-  /// Re-reads server i's envelope row (at its storage position) after a
-  /// timeline mutation, and advances its shard's epoch.
+  /// Re-reads server i's envelope row after a timeline mutation.
   void refresh_envelope(std::size_t i);
   /// Removes the first active VM on server i with this id (and, if given,
   /// this end) from active_, the host index and the count; false if none.
@@ -273,13 +250,9 @@ class ClusterState {
   void unindex(std::size_t i, VmId vm);
 
   std::vector<ServerSpec> servers_;
-  /// Deterministic shard layout (built from servers_ at construction).
-  FleetPartition partition_;
   std::vector<ServerTimeline> timelines_;
-  /// SoA envelope rows mirroring timelines_, in storage order (envelopes()).
+  /// SoA envelope rows mirroring timelines_ (envelopes()).
   EnvelopeStore envelopes_;
-  /// Per-shard mutation counters (shard_epoch()).
-  std::vector<std::uint64_t> shard_epochs_;
   /// Active VMs per server, in placement order (rebuild replays them).
   std::vector<std::vector<VmSpec>> active_;
   /// Retirement calendar: one entry per placement, popped in vm.end order.
@@ -411,10 +384,6 @@ struct EngineOptions {
   /// the engine's own energy accumulation is untouched, so assignments and
   /// total_energy() stay byte-identical with or without a ledger bound.
   EnergyLedger* ledger = nullptr;
-  /// Fleet partition for the cluster (core/shard.h). A pure layout /
-  /// parallelism knob: decisions are byte-identical at any shard count
-  /// (tests/test_sharded_scan.cpp).
-  ShardOptions shard;
 };
 
 /// Graceful-degradation counters of one engine run (mirrored into the obs
@@ -625,11 +594,8 @@ VmSpec clip_to(VmSpec vm, Time t);
 /// pre-streaming batch loops (tests/test_streaming.cpp).
 /// `obs` flows into EngineOptions::obs so the engine's submit timer and
 /// request counters record under the caller's registry (the Allocator
-/// subclasses pass their own ObsContext; default = null sinks). `shard`
-/// flows into EngineOptions::shard (the scan allocators pass
-/// ScanConfig::shard_options(); the default is the unsharded layout).
+/// subclasses pass their own ObsContext; default = null sinks).
 Allocation run_batch(const ProblemInstance& problem, PlacementPolicy& policy,
-                     VmOrder order, Rng& rng, const ObsContext& obs = {},
-                     const ShardOptions& shard = {});
+                     VmOrder order, Rng& rng, const ObsContext& obs = {});
 
 }  // namespace esva

@@ -26,17 +26,6 @@
 
 namespace esva {
 
-/// Per-shard slice of one FleetSample (populated only when the cluster is
-/// partitioned into more than one shard, core/shard.h): how load, power, and
-/// occupancy distribute across shard blocks. Indexed by shard id.
-struct ShardLoad {
-  std::uint32_t active_vms = 0;
-  std::uint32_t busy_servers = 0;
-  std::uint32_t idle_servers = 0;
-  /// Σ P(u_i) over this shard's servers hosting load at t (Eq. 1).
-  double power_w = 0.0;
-};
-
 /// One snapshot of the fleet at time `t`, as seen by the streaming engine.
 struct FleetSample {
   Time t = 0;
@@ -61,10 +50,6 @@ struct FleetSample {
   std::int64_t rejected_final = 0;
   /// Telescoped incremental energy so far (0 unless energy accounting).
   double total_energy = 0.0;
-  /// Per-shard load breakdown; empty on an unsharded (single-shard) fleet.
-  /// Exported as a "shards" array in the JSONL form; the CSV schema is
-  /// unchanged (fleet-wide columns only), keeping existing consumers stable.
-  std::vector<ShardLoad> shards;
 };
 
 struct TimeSeriesOptions {

@@ -56,7 +56,6 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   // horizon, auto-advance GC, energy accounting, tolerated stragglers. Fault
   // events arrive as ops (PlacementEngine::apply_fault), not a plan.
   allocator_ = make_allocator(options_.allocator);
-  allocator_->set_scan_config(options_.scan);
   policy_ = allocator_->make_policy();
   if (!policy_)
     throw std::invalid_argument("allocator '" + options_.allocator +
@@ -70,7 +69,6 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   eopts.faults = nullptr;
   eopts.retry = options_.retry;
   eopts.migration_cost_per_gib = options_.migration_cost_per_gib;
-  eopts.shard = options_.scan.shard_options();
   engine_ = std::make_unique<PlacementEngine>(std::move(servers), *policy_,
                                               rng_, eopts);
 

@@ -7,6 +7,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ilp/model.h"
 #include "ilp/validate.h"
@@ -134,30 +136,28 @@ TEST_F(AppTest, FullPipelineGenerateAllocateEvaluateSimulate) {
   EXPECT_EQ(header, "t,total_power_w,active_servers,running_vms");
 }
 
-TEST_F(AppTest, AllocateThreadsAndCacheFlagsPreserveTheAssignment) {
-  ASSERT_EQ(run("generate",
-                {"--vms", "60", "--servers", "24", "--out-vms",
-                 path("t_vms.csv"), "--out-servers", path("t_srv.csv")}),
-            0);
-  ASSERT_EQ(run("allocate",
-                {"--vms", path("t_vms.csv"), "--servers", path("t_srv.csv"),
-                 "--out-assignment", path("t_serial.csv")}),
-            0)
-      << err();
-  // --threads 0 resolves to hardware concurrency; --cache memoizes scores.
-  // Either way the assignment must be the serial one, byte for byte.
-  ASSERT_EQ(run("allocate",
-                {"--vms", path("t_vms.csv"), "--servers", path("t_srv.csv"),
-                 "--threads", "0", "--cache", "--out-assignment",
-                 path("t_parallel.csv")}),
-            0)
-      << err();
-  std::ifstream serial(path("t_serial.csv"));
-  std::ifstream parallel(path("t_parallel.csv"));
-  std::stringstream serial_body, parallel_body;
-  serial_body << serial.rdbuf();
-  parallel_body << parallel.rdbuf();
-  EXPECT_EQ(serial_body.str(), parallel_body.str());
+// The candidate scan has one path, so its former tuning flags are gone:
+// each must fail as a usage error naming the flag (exit 2), not abort and
+// not be silently ignored. The flag is rejected before any input is read.
+TEST_F(AppTest, RemovedScanFlagsFailAsUnknownFlags) {
+  const struct {
+    const char* command;
+    std::vector<std::string> args;
+    const char* flag;
+  } cases[] = {
+      {"allocate", {"--threads", "4"}, "--threads"},
+      {"stream", {"--shards", "4"}, "--shards"},
+      {"serve", {"--threads", "2"}, "--threads"},
+  };
+  for (const auto& c : cases) {
+    ::testing::internal::CaptureStderr();
+    const int rc = run(c.command, c.args);
+    const std::string stderr_text = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << c.command << ' ' << c.flag;
+    EXPECT_NE(stderr_text.find(std::string("unknown flag ") + c.flag),
+              std::string::npos)
+        << c.command << ": " << stderr_text;
+  }
 }
 
 TEST_F(AppTest, StreamReplaysTraceWithLatencyJsonIdenticalToBatch) {

@@ -4,8 +4,7 @@
 // coherent with the timelines through every lifecycle transition (place /
 // undo / GC rebuild / fault stub / recovery), and — composed into the
 // candidate scan — leave every scan-based allocator's assignment
-// byte-identical with the envelope pass on or off, at any thread count,
-// cache on or off, under faults or not.
+// byte-identical to the check_fit scan, under faults or not.
 //
 // Three layers of evidence:
 //   1. timeline-level fuzz: random place/undo interleavings on raw
@@ -14,8 +13,10 @@
 //   2. lifecycle property fuzz: EnvelopeStore::debug_validate() after every
 //      ClusterState transition (place, advance_to, ensure_horizon, fail,
 //      drain, recover), eager-rebuild on and off;
-//   3. end-to-end identity: full allocations and chaos replays, envelope on
-//      vs off — assignments, energies, and fault counters must match exactly.
+//   3. end-to-end identity: full allocations and chaos replays, envelope scan
+//      vs the traced check_fit scan — assignments, energies, and fault
+//      counters must match exactly; plus the scan_range arg-min contract
+//      (ties, empty ranges, exceptions, one probe per server per scan).
 //
 // ESVA_FUZZ_QUICK=1 (set by ctest in Debug CI; see tests/CMakeLists.txt)
 // shrinks iteration counts so sanitizer jobs fit their time budget. The
@@ -26,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +39,8 @@
 #include "core/candidate_scan.h"
 #include "core/fault_plan.h"
 #include "core/streaming.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/replay.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -305,85 +310,54 @@ TEST(EnvelopeCoherence, DebugValidateDetectsStaleRows) {
   EXPECT_FALSE(store.debug_validate(timelines));
 }
 
-// --- layer 3: end-to-end byte identity, envelope on vs off ------------------
+// --- layer 3: end-to-end byte identity, envelope scan vs check_fit scan ---
 
+// The untraced scan decides servers by the envelope verdict (falling back to
+// can_fit only on kUnknown); the traced scan decides every server by
+// check_fit and never reads a verdict. Both run the same scan_range arg-min,
+// so equal assignments mean the triage never changed a decision.
 Allocation run_alloc(const std::string& name, const ProblemInstance& problem,
-                     int threads, bool cache, bool envelope) {
+                     bool traced, MetricsRegistry* metrics = nullptr) {
   AllocatorPtr allocator = make_allocator(name);
-  ScanConfig scan;
-  scan.threads = threads;
-  scan.cache = cache;
-  scan.envelope = envelope;
-  allocator->set_scan_config(scan);
+  MemoryTraceSink sink;
+  ObsContext obs;
+  if (traced) obs.trace = &sink;
+  obs.metrics = metrics;
+  allocator->set_observability(obs);
   Rng rng(7);
   return allocator->allocate(problem, rng);
 }
 
-TEST(EnvelopeDifferential, OnOffByteIdenticalAcrossThreadsAndCache) {
+TEST(EnvelopeDifferential, EnvelopeScanMatchesCheckFitScan) {
   const int seeds = fuzz_iters(2, 1);
-  const std::vector<int> thread_counts =
-      fuzz_quick() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
   for (int s = 0; s < seeds; ++s) {
     const std::uint64_t seed = 11u + 18u * static_cast<std::uint64_t>(s);
     for (const bool profiled : {false, true}) {
       const ProblemInstance problem =
           profiled ? profiled_instance(seed) : stable_instance(seed);
       for (const std::string& name : scan_allocators()) {
-        // The reference: envelope off = the historical quick_fit loop.
-        const Allocation reference =
-            run_alloc(name, problem, /*threads=*/1, /*cache=*/false,
-                      /*envelope=*/false);
-        for (const int threads : thread_counts) {
-          for (const bool cache : {false, true}) {
-            const Allocation with_envelope =
-                run_alloc(name, problem, threads, cache, /*envelope=*/true);
-            ASSERT_EQ(reference.assignment, with_envelope.assignment)
-                << name << " threads=" << threads << " cache=" << cache
-                << " seed=" << seed
-                << (profiled ? " (profiled)" : " (stable)");
-            const Allocation without_envelope =
-                run_alloc(name, problem, threads, cache, /*envelope=*/false);
-            ASSERT_EQ(reference.assignment, without_envelope.assignment)
-                << name << " threads=" << threads << " cache=" << cache;
-          }
-        }
+        const Allocation reference = run_alloc(name, problem, /*traced=*/true);
+        const Allocation fast = run_alloc(name, problem, /*traced=*/false);
+        ASSERT_EQ(reference.assignment, fast.assignment)
+            << name << " seed=" << seed
+            << (profiled ? " (profiled)" : " (stable)");
         // Same double bits in, same bits out: energies match exactly.
-        EXPECT_EQ(
-            evaluate_cost(problem, reference).total(),
-            evaluate_cost(problem, run_alloc(name, problem, 1, false, true))
-                .total())
+        EXPECT_EQ(evaluate_cost(problem, reference).total(),
+                  evaluate_cost(problem, fast).total())
             << name;
       }
     }
   }
 }
 
-// The cache's counters evolve from the same quick verdicts either way, so
-// its warmup self-disable judgment cannot diverge envelope on vs off.
-TEST(EnvelopeDifferential, CacheAutoDisableJudgmentUnchanged) {
-  Rng rng(77);
-  const ProblemInstance problem =
-      make_problem(generate_workload(workload_config(), rng), make_fleet(8));
-  const auto run_cached = [&](bool envelope) {
-    AllocatorPtr allocator = make_allocator("min-incremental");
-    ScanConfig scan;
-    scan.cache = true;
-    scan.cache_warmup_probes = 64;
-    scan.envelope = envelope;
-    allocator->set_scan_config(scan);
-    Rng run_rng(7);
-    return allocator->allocate(problem, run_rng);
-  };
-  EXPECT_EQ(run_cached(true).assignment, run_cached(false).assignment);
-}
-
 ReplayReport replay_chaos(const std::string& name,
                           const ProblemInstance& problem,
-                          const FaultPlan& plan, bool envelope) {
+                          const FaultPlan& plan, bool traced) {
   AllocatorPtr allocator = make_allocator(name);
-  ScanConfig scan;
-  scan.envelope = envelope;
-  allocator->set_scan_config(scan);
+  MemoryTraceSink sink;
+  ObsContext obs;
+  if (traced) obs.trace = &sink;
+  allocator->set_observability(obs);
   std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
   EXPECT_NE(policy, nullptr) << name;
   Rng rng(7);
@@ -396,7 +370,7 @@ ReplayReport replay_chaos(const std::string& name,
 
 // Chaos stream: failures stub timelines, recoveries rebuild them, retries
 // interleave extra scans — the envelope rows must track every transition, so
-// assignments, energies, and every fault counter match envelope on vs off.
+// assignments, energies, and every fault counter match the check_fit scan.
 TEST(EnvelopeDifferential, ChaosReplayByteIdentical) {
   const ProblemInstance problem = stable_instance(31);
   ChaosConfig chaos;
@@ -409,19 +383,88 @@ TEST(EnvelopeDifferential, ChaosReplayByteIdentical) {
   const FaultPlan plan = random_fault_plan(chaos, plan_rng);
   for (const std::string& name :
        {std::string("min-incremental"), std::string("lowest-idle-power")}) {
-    const ReplayReport on = replay_chaos(name, problem, plan, true);
-    const ReplayReport off = replay_chaos(name, problem, plan, false);
-    ASSERT_EQ(on.assignment, off.assignment) << name;
-    EXPECT_EQ(on.total_energy, off.total_energy) << name;
-    EXPECT_EQ(on.placed, off.placed) << name;
-    EXPECT_EQ(on.rejected, off.rejected) << name;
-    EXPECT_EQ(on.faults.displaced, off.faults.displaced) << name;
-    EXPECT_EQ(on.faults.evacuated, off.faults.evacuated) << name;
-    EXPECT_EQ(on.faults.retries, off.faults.retries) << name;
-    EXPECT_EQ(on.faults.rejected_final, off.faults.rejected_final) << name;
-    EXPECT_EQ(on.faults.downtime_units, off.faults.downtime_units) << name;
-    EXPECT_GT(on.faults.fault_events, 0) << name;
+    const ReplayReport fast = replay_chaos(name, problem, plan, false);
+    const ReplayReport reference = replay_chaos(name, problem, plan, true);
+    ASSERT_EQ(fast.assignment, reference.assignment) << name;
+    EXPECT_EQ(fast.total_energy, reference.total_energy) << name;
+    EXPECT_EQ(fast.placed, reference.placed) << name;
+    EXPECT_EQ(fast.rejected, reference.rejected) << name;
+    EXPECT_EQ(fast.faults.displaced, reference.faults.displaced) << name;
+    EXPECT_EQ(fast.faults.evacuated, reference.faults.evacuated) << name;
+    EXPECT_EQ(fast.faults.retries, reference.faults.retries) << name;
+    EXPECT_EQ(fast.faults.rejected_final, reference.faults.rejected_final)
+        << name;
+    EXPECT_EQ(fast.faults.downtime_units, reference.faults.downtime_units)
+        << name;
+    EXPECT_GT(fast.faults.fault_events, 0) << name;
   }
+}
+
+// Every scan probes every server exactly once: feasible + rejected = n per
+// VM, on both the envelope and the check_fit path.
+TEST(ScanCandidates, ProbeCountersCoverEveryServerPerScan) {
+  const ProblemInstance problem = stable_instance(19);
+  const std::string prefix = "allocator.min-incremental.";
+  for (const bool traced : {false, true}) {
+    MetricsRegistry metrics;
+    (void)run_alloc("min-incremental", problem, traced, &metrics);
+    const std::int64_t feasible =
+        metrics.counter(prefix + "feasible_candidates").value();
+    const std::int64_t rejected =
+        metrics.counter(prefix + "rejections").value();
+    EXPECT_GT(feasible, 0);
+    EXPECT_GT(rejected, 0);
+    EXPECT_EQ(feasible + rejected,
+              static_cast<std::int64_t>(problem.num_vms() *
+                                        problem.num_servers()))
+        << (traced ? "traced" : "untraced");
+  }
+}
+
+// --- the scan primitive itself ----------------------------------------------
+
+TEST(ScanCandidates, EmptyAndTinyRanges) {
+  const auto nothing = [](std::size_t) -> std::optional<double> {
+    return std::nullopt;
+  };
+  const ScanOutcome empty = scan_range(0, 0, nothing);
+  EXPECT_EQ(empty.best, kNoCandidate);
+  EXPECT_EQ(empty.feasible, 0);
+  EXPECT_EQ(empty.rejected, 0);
+
+  const ScanOutcome none_feasible = scan_range(0, 3, nothing);
+  EXPECT_EQ(none_feasible.best, kNoCandidate);
+  EXPECT_EQ(none_feasible.rejected, 3);
+
+  const auto identity = [](std::size_t i) -> std::optional<double> {
+    return static_cast<double>(i);
+  };
+  const ScanOutcome tiny = scan_range(0, 3, identity);
+  EXPECT_EQ(tiny.best, 0u);
+  EXPECT_EQ(tiny.best_score, 0.0);
+  EXPECT_EQ(tiny.feasible, 3);
+}
+
+TEST(ScanCandidates, TiesBreakToLowestIndex) {
+  // Scores: all equal except a strict minimum duplicated at 18 and 90 — the
+  // strict < keeps index 18.
+  const auto eval = [](std::size_t i) -> std::optional<double> {
+    if (i % 7 == 3) return std::nullopt;  // sprinkle infeasibles
+    return (i == 18 || i == 90) ? 1.0 : 2.0;
+  };
+  const ScanOutcome out = scan_range(0, 100, eval);
+  EXPECT_EQ(out.best, 18u);
+  EXPECT_EQ(out.best_score, 1.0);
+  EXPECT_EQ(out.rejected, 14);
+  EXPECT_EQ(out.feasible, 86);
+}
+
+TEST(ScanCandidates, EvalExceptionPropagates) {
+  const auto eval = [](std::size_t i) -> std::optional<double> {
+    if (i == 97) throw std::runtime_error("probe exploded");
+    return static_cast<double>(i);
+  };
+  EXPECT_THROW(scan_range(0, 100, eval), std::runtime_error);
 }
 
 }  // namespace
