@@ -160,6 +160,76 @@ TEST_F(AppTest, RemovedScanFlagsFailAsUnknownFlags) {
   }
 }
 
+// Every scan flag that allocate, stream and serve used to declare — seven on
+// the first two, three on serve — is an unknown flag now: a clean exit 2
+// with "unknown flag --<name>" on stderr, never an abort or a silently
+// ignored option.
+struct RemovedFlag {
+  const char* command;
+  const char* flag;   // without the leading dashes
+  const char* value;  // nullptr for the former booleans
+};
+
+class RemovedScanFlagTest : public AppTest,
+                            public ::testing::WithParamInterface<RemovedFlag> {
+};
+
+TEST_P(RemovedScanFlagTest, FailsAsUnknownFlag) {
+  const RemovedFlag& c = GetParam();
+  std::vector<std::string> args{std::string("--") + c.flag};
+  if (c.value != nullptr) args.emplace_back(c.value);
+  ::testing::internal::CaptureStderr();
+  const int rc = run(c.command, args);
+  const std::string stderr_text = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(stderr_text.find(std::string("unknown flag --") + c.flag + "\n"),
+            std::string::npos)
+      << stderr_text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AppTest, RemovedScanFlagTest,
+    ::testing::Values(RemovedFlag{"allocate", "threads", "4"},
+                      RemovedFlag{"allocate", "cache", nullptr},
+                      RemovedFlag{"allocate", "cache-warmup", "64"},
+                      RemovedFlag{"allocate", "cache-min-hit-rate", "0.1"},
+                      RemovedFlag{"allocate", "no-envelope", nullptr},
+                      RemovedFlag{"allocate", "shards", "4"},
+                      RemovedFlag{"allocate", "shard-by", "type"},
+                      RemovedFlag{"stream", "threads", "4"},
+                      RemovedFlag{"stream", "cache", nullptr},
+                      RemovedFlag{"stream", "cache-warmup", "64"},
+                      RemovedFlag{"stream", "cache-min-hit-rate", "0.1"},
+                      RemovedFlag{"stream", "no-envelope", nullptr},
+                      RemovedFlag{"stream", "shards", "4"},
+                      RemovedFlag{"stream", "shard-by", "type"},
+                      RemovedFlag{"serve", "threads", "2"},
+                      RemovedFlag{"serve", "shards", "4"},
+                      RemovedFlag{"serve", "shard-by", "band"}),
+    [](const ::testing::TestParamInfo<RemovedFlag>& flag_case) {
+      std::string name = std::string(flag_case.param.command) + "_" +
+                         flag_case.param.flag;
+      for (char& ch : name)
+        if (ch == '-') ch = '_';
+      return name;
+    });
+
+// The per-command usage text advertises none of the removed scan flags.
+TEST_F(AppTest, CommandUsageListsNoRemovedScanFlag) {
+  for (const char* command : {"allocate", "stream", "serve"}) {
+    ::testing::internal::CaptureStdout();
+    const int rc = run(command, {"--help"});
+    const std::string usage_text = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0) << command;
+    EXPECT_NE(usage_text.find("--servers"), std::string::npos) << command;
+    for (const char* flag : {"--threads", "--cache", "--no-envelope",
+                             "--shards", "--shard-by"}) {
+      EXPECT_EQ(usage_text.find(flag), std::string::npos)
+          << command << " still lists " << flag;
+    }
+  }
+}
+
 TEST_F(AppTest, StreamReplaysTraceWithLatencyJsonIdenticalToBatch) {
   // The acceptance instance: 220 VMs on 44 servers, replayed end-to-end
   // through the streaming engine with per-request latency metrics.

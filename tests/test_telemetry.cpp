@@ -18,12 +18,14 @@
 #include "baselines/registry.h"
 #include "cluster/catalog.h"
 #include "core/fault_plan.h"
+#include "core/power_model.h"
 #include "core/streaming.h"
 #include "obs/energy_ledger.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "sim/replay.h"
+#include "test_util.h"
 #include "util/rng.h"
 #include "workload/arrival_stream.h"
 #include "workload/generator.h"
@@ -338,6 +340,77 @@ TEST(TimeSeries, CsvAndJsonlExport) {
     EXPECT_NE(line.find("\"total_power_w\":123.5"), std::string::npos);
   }
   EXPECT_EQ(objects, 2u);
+}
+
+// ClusterState::sample on a hand-built fleet: every field equals a count
+// made by hand from the placements and health states. A VM counts as
+// active from its placement to its retirement, but loads its server only
+// while t lies in [start, end]; drained servers add power but no spare
+// capacity, failed ones add neither.
+TEST(TimeSeries, ClusterSampleMatchesHandCount) {
+  std::vector<ServerSpec> fleet;
+  for (ServerId i = 0; i < 4; ++i) fleet.push_back(testing::basic_server(i));
+  ClusterState cluster(fleet, /*initial_horizon=*/100);
+  cluster.place(0, testing::vm(1, 2, 40, 1.0, 1.0));
+  cluster.place(1, testing::vm(2, 2, 40, 2.0, 1.0));
+  cluster.place(1, testing::vm(3, 20, 60, 3.0, 2.0));
+  cluster.place(2, testing::vm(4, 50, 80, 4.0, 4.0));
+
+  const FleetSample early = cluster.sample(/*t=*/10);
+  EXPECT_EQ(early.t, 10);
+  EXPECT_EQ(early.active_vms, 4u);
+  EXPECT_EQ(early.busy_servers, 2u);
+  EXPECT_EQ(early.idle_servers, 2u);
+  EXPECT_EQ(early.drained_servers, 0u);
+  EXPECT_EQ(early.failed_servers, 0u);
+  EXPECT_EQ(early.total_power_w,
+            power_at_usage(fleet[0], 1.0) + power_at_usage(fleet[1], 2.0));
+  EXPECT_EQ(early.spare_cpu, 40.0 - 3.0);
+  EXPECT_EQ(early.spare_mem, 40.0 - 2.0);
+
+  cluster.drain_server(2);  // hosts VM 4, active only from t = 50
+  (void)cluster.fail_server(3);
+  const FleetSample degraded = cluster.sample(/*t=*/55);
+  EXPECT_EQ(degraded.active_vms, 4u);
+  EXPECT_EQ(degraded.busy_servers, 1u);  // server 1 (VM 3); 0 is done
+  EXPECT_EQ(degraded.idle_servers, 1u);
+  EXPECT_EQ(degraded.drained_servers, 1u);
+  EXPECT_EQ(degraded.failed_servers, 1u);
+  EXPECT_EQ(degraded.total_power_w,
+            power_at_usage(fleet[1], 3.0) + power_at_usage(fleet[2], 4.0));
+  EXPECT_EQ(degraded.spare_cpu, 20.0 - 3.0);
+  EXPECT_EQ(degraded.spare_mem, 20.0 - 2.0);
+}
+
+// The JSON Lines export carries exactly the CSV columns, as keys in column
+// order — one schema for both formats.
+TEST(TimeSeries, JsonlKeysAreTheCsvColumnsInOrder) {
+  TimeSeriesSampler sampler;
+  FleetSample s;
+  s.t = 3;
+  s.failed_servers = 1;
+  s.total_energy = 2.5;
+  sampler.record(s);
+  std::ostringstream jsonl;
+  sampler.write_jsonl(jsonl);
+  const std::string line = jsonl.str();
+  ASSERT_FALSE(line.empty());
+  EXPECT_EQ(line.back(), '\n');
+
+  std::vector<std::string> keys;
+  for (std::size_t pos = line.find('"'); pos != std::string::npos;
+       pos = line.find('"', pos + 1)) {
+    const std::size_t close = line.find('"', pos + 1);
+    ASSERT_NE(close, std::string::npos) << line;
+    ASSERT_EQ(line[close + 1], ':') << line;
+    keys.push_back(line.substr(pos + 1, close - pos - 1));
+    pos = close;
+  }
+  std::vector<std::string> columns;
+  std::istringstream header(TimeSeriesSampler::csv_header());
+  for (std::string column; std::getline(header, column, ',');)
+    columns.push_back(column);
+  EXPECT_EQ(keys, columns);
 }
 
 // --- ledger bookkeeping and exports ------------------------------------------
