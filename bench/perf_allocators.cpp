@@ -35,9 +35,11 @@
 //                        incremental cost delta), forwarding --benchmark_*
 //                        flags.
 //
-// The uninstrumented reference is a verbatim copy of the pre-observability
-// MinIncrementalAllocator::allocate loop: same timelines, same cost calls, no
-// obs hook — the honest "what did instrumentation cost us" baseline.
+// The uninstrumented reference is the pre-observability
+// MinIncrementalAllocator::allocate loop (serial can_fit + Eq. 17 scan, no
+// obs hook) on the timeline work run_batch does: a ClusterState of open,
+// span-sized timelines advanced to each VM's start. Same timelines, same
+// cost calls — the honest "what did instrumentation cost us" baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -169,15 +171,21 @@ void BM_IncrementalCostDelta(benchmark::State& state) {
 // Overhead guard + BENCH_perf.json
 // ---------------------------------------------------------------------------
 
-/// Verbatim copy of MinIncrementalAllocator::allocate as it existed before
-/// the observability hook: the reference the null-sink path is held to.
+/// MinIncrementalAllocator::allocate without the observability hook, the
+/// policy interface or the engine: the reference the null-sink path is held
+/// to. It does the same timeline work run_batch does — open, span-sized
+/// timelines in a ClusterState whose frontier follows the start times — so
+/// the guard measures the instrumentation, not a difference in tree
+/// building.
 Allocation allocate_uninstrumented(const ProblemInstance& problem) {
   Allocation alloc;
   alloc.assignment.assign(problem.num_vms(), kNoServer);
-  std::vector<ServerTimeline> timelines =
-      make_timelines(problem.servers, problem.horizon);
+  ClusterState cluster(problem.servers, /*initial_horizon=*/0);
+  const std::vector<ServerTimeline>& timelines = cluster.timelines();
   for (std::size_t j : ordered_indices(problem, VmOrder::ByStartTime)) {
     const VmSpec& vm = problem.vms[j];
+    cluster.advance_to(vm.start);
+    cluster.ensure_horizon(vm.end);
     ServerId best_server = kNoServer;
     Energy best_delta = kInf;
     for (std::size_t i = 0; i < timelines.size(); ++i) {
@@ -189,7 +197,7 @@ Allocation allocate_uninstrumented(const ProblemInstance& problem) {
       }
     }
     if (best_server == kNoServer) continue;
-    timelines[static_cast<std::size_t>(best_server)].place(vm);
+    cluster.place(static_cast<std::size_t>(best_server), vm);
     alloc.assignment[j] = best_server;
   }
   return alloc;

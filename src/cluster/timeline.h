@@ -16,9 +16,10 @@
 // descent (docs/PERFORMANCE.md, "Batched feasibility kernel").
 //
 // A window is either fixed (base..horizon, trees built over all of it at
-// construction: the batch allocators, branch-and-bound) or open-ended
-// (base..kOpenHorizon, the rolling ClusterState of core/streaming.h). An
-// open timeline's trees are span-sized: they cover base..span_end() only,
+// construction: make_timelines for branch-and-bound, trace_assignment and
+// the ext lookahead/admission passes) or open-ended (base..kOpenHorizon,
+// the rolling ClusterState of core/streaming.h behind every run_batch
+// allocator and the stream). An open timeline's trees are span-sized: they cover base..span_end() only,
 // start empty (a timeline hosting nothing holds no trees at all), and double
 // when a placement reaches past the span. Units past the span read as zero
 // usage in every query, exactly what a tree over the whole window would hold

@@ -32,7 +32,8 @@
 // (debug_validate) across randomized engine lifecycles.
 //
 // Row kinds, by the timeline behind them (cluster/timeline.h):
-//   fixed window   base..horizon, peak/floor over the whole window (batch);
+//   fixed window   base..horizon, peak/floor over the whole window (a store
+//                  reset from make_timelines; ClusterState holds none);
 //   open window    base..ServerTimeline::kOpenHorizon, so the window test
 //                  always passes for a VM starting at or after the base, and
 //                  peak >= 0 >= floor (the zero usage past the span is part

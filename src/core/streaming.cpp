@@ -49,15 +49,11 @@ ClusterState::ClusterState(std::vector<ServerSpec> servers,
       active_(servers_.size()),
       retired_hi_(servers_.size(), 0),
       health_(servers_.size(), ServerHealth::kUp),
-      horizon_(std::max<Time>(initial_horizon, 0)),
-      fixed_windows_(horizon_ > 0) {
-  const Time window = fixed_windows_ ? horizon_ : ServerTimeline::kOpenHorizon;
+      horizon_(std::max<Time>(initial_horizon, 0)) {
   timelines_.reserve(servers_.size());
   for (const ServerSpec& spec : servers_)
-    timelines_.emplace_back(spec, /*base=*/1, window);
+    timelines_.emplace_back(spec, /*base=*/1, ServerTimeline::kOpenHorizon);
   envelopes_.reset(timelines_);
-  for (const ServerTimeline& timeline : timelines_)
-    resident_units_ += timeline.resident_units();
 }
 
 void ClusterState::refresh_envelope(std::size_t i) {
@@ -141,12 +137,6 @@ void ClusterState::ensure_horizon(Time end) {
   // times over a run.
   const Time slack = std::max<Time>(256, horizon_ - frontier_ + 1);
   horizon_ = std::max<Time>(end, horizon_ + slack);
-  if (!fixed_windows_) return;
-  // A cluster built over a fixed window meets its first VM past it: switch
-  // every placeable timeline to an open window, once.
-  fixed_windows_ = false;
-  for (std::size_t i = 0; i < timelines_.size(); ++i)
-    if (placeable(i) && !timelines_[i].open()) rebuild(i, window_base(i));
 }
 
 void ClusterState::place(std::size_t server, const VmSpec& vm) {
@@ -154,8 +144,7 @@ void ClusterState::place(std::size_t server, const VmSpec& vm) {
   assert(placeable(server));
   // A placement that grows the span is the other point (with retirement)
   // where the dead prefix is collected: growing over it would keep it.
-  if (vm.end > timelines_[server].span_end() && timelines_[server].open() &&
-      should_rebuild(server))
+  if (vm.end > timelines_[server].span_end() && should_rebuild(server))
     rebuild(server, window_base(server));
   const std::size_t before = timelines_[server].resident_units();
   timelines_[server].place(vm);
@@ -323,7 +312,6 @@ void ClusterState::restore(Time frontier, Time horizon,
   calendar_ = {};
   hosts_.clear();
   active_count_ = 0;
-  fixed_windows_ = false;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     const ServerStateSnapshot& snap = servers[i];
     health_[i] = snap.health;
@@ -740,13 +728,22 @@ void PlacementEngine::drain_retries(Time now) {
 Allocation run_batch(const ProblemInstance& problem, PlacementPolicy& policy,
                      VmOrder order, Rng& rng, const ObsContext& obs) {
   EngineOptions options;
-  options.initial_horizon = problem.horizon;
+  // Start-time order is a stream: advancing the frontier lets rolling GC
+  // keep every span at the active window instead of doubling it towards
+  // the horizon. The other orders revisit earlier starts, so their
+  // frontier stays at 1.
+  options.auto_advance = order == VmOrder::ByStartTime;
   options.obs = obs;
   PlacementEngine engine(problem.servers, policy, rng, options);
   Allocation alloc;
   alloc.assignment.assign(problem.num_vms(), kNoServer);
-  for (std::size_t j : ordered_indices(problem, order))
-    alloc.assignment[j] = engine.submit(problem.vms[j]).server;
+  for (std::size_t j : ordered_indices(problem, order)) {
+    const VmSpec& vm = problem.vms[j];
+    // Open timelines have no upper bound; the instance horizon bounds what
+    // validate_allocation and the evaluators index.
+    if (vm.start < 1 || vm.end > problem.horizon) continue;
+    alloc.assignment[j] = engine.submit(vm).server;
+  }
   policy.finish(problem.num_vms(), alloc.num_unallocated());
   return alloc;
 }

@@ -31,8 +31,9 @@
 //
 //   * PlacementEngine — submit(VmSpec) -> PlacementDecision per request,
 //     plus advance_to(t). run_batch() reimplements the historical
-//     Allocator::allocate() as "sort by start time, feed the stream",
-//     bit-identical to the pre-refactor batch loops
+//     Allocator::allocate() as "sort by start time, feed the stream" on the
+//     same open timelines and rolling frontier the stream uses,
+//     bit-identical to the pre-refactor fixed-window batch loops
 //     (tests/test_streaming.cpp). The engine is also the fault-tolerance
 //     layer: it steps through an optional FaultPlan at advance_to
 //     boundaries, evacuates VMs displaced by server failures through the
@@ -95,9 +96,9 @@ std::string to_string(ServerHealth health);
 /// Per-server timelines behind a rolling time frontier.
 class ClusterState {
  public:
-  /// Fixed-window timelines over [1, initial_horizon], trees built at
-  /// construction (run_batch); pass 0 for open-ended, tree-less timelines
-  /// that grow on demand (the streaming replay default).
+  /// One open-ended, tree-less timeline per server (trees grow on first
+  /// placement), with the planning horizon starting at `initial_horizon`
+  /// (0: grown on demand by ensure_horizon).
   ClusterState(std::vector<ServerSpec> servers, Time initial_horizon);
 
   std::size_t num_servers() const { return timelines_.size(); }
@@ -269,8 +270,6 @@ class ClusterState {
   Time horizon_ = 0;
   std::size_t resident_units_ = 0;
   std::size_t active_count_ = 0;
-  /// Some placeable timeline may still be a fixed window from construction.
-  bool fixed_windows_ = false;
   bool eager_rebuild_ = false;
 };
 
@@ -341,11 +340,12 @@ struct RetryPolicy {
 };
 
 struct EngineOptions {
-  /// Fixed horizon to pre-build timelines for; 0 grows on demand.
+  /// Initial planning horizon (ClusterState::horizon); 0 grows it on
+  /// demand. Builds no trees: every timeline is open-ended.
   Time initial_horizon = 0;
   /// Advance the frontier to each request's start time on submit — the
-  /// streaming replay mode. Off for the batch driver, where ablation orders
-  /// present VMs with non-monotone start times.
+  /// streaming replay mode, and run_batch's in start-time order. Off for
+  /// the ablation orders, which present VMs with non-monotone start times.
   bool auto_advance = false;
   /// Accumulate the Eq. 17 incremental energy of every placement (the
   /// telescoped total equals the batch post-hoc evaluation). Off by default:
@@ -588,10 +588,16 @@ class PlacementEngine {
 VmSpec clip_to(VmSpec vm, Time t);
 
 /// The historical batch contract as a stream driver: presents problem.vms in
-/// `order` to a PlacementEngine over a fixed problem.horizon window and
-/// collects the assignment. With the policy an allocator's make_policy()
-/// returns, this *is* that allocator's allocate() — bit-identical to the
-/// pre-streaming batch loops (tests/test_streaming.cpp).
+/// `order` to a PlacementEngine and collects the assignment. Timelines are
+/// open and span-sized, so a server the batch never places on holds no
+/// trees; in VmOrder::ByStartTime the engine auto-advances, so rolling GC
+/// keeps each span at the active window (the other orders keep the
+/// frontier at 1). A VM outside [1, problem.horizon] is left unallocated
+/// without a scan, as a fixed window over the horizon would reject it.
+/// With the policy an allocator's make_policy() returns, this *is* that
+/// allocator's allocate() — bit-identical to the pre-streaming batch loops
+/// over fixed windows, by the GC-invariance argument above
+/// (tests/test_streaming.cpp).
 /// `obs` flows into EngineOptions::obs so the engine's submit timer and
 /// request counters record under the caller's registry (the Allocator
 /// subclasses pass their own ObsContext; default = null sinks).

@@ -1,7 +1,8 @@
 // Lazy segment tree supporting range-add and range-max/min over doubles.
 //
 // Each server keeps one tree per resource dimension over its window (the
-// horizon [1, T] in batch runs, a span grown by grow() in streaming); the
+// horizon [1, T] for a fixed window, a span grown by grow() for the open
+// timelines batch allocators and the stream place on); the
 // allocator's feasibility test "does VM j fit on server i throughout
 // [t^s, t^e]?" becomes a single O(log T) range-max query:
 //     max_usage(interval) + demand <= capacity.

@@ -4,15 +4,19 @@
 // energies with exact EXPECT_EQ — to the batch Allocator::allocate() path,
 // for every registered allocator that exposes a streaming policy, with the
 // rolling-horizon garbage collection on or off. Also pins the historical
-// serial min-incremental loop verbatim as the absolute anchor, the
-// advance_to-never-changes-decisions property, the memory bound GC buys, and
-// the lazy arrival streams against the materializing generators.
+// fixed-window serial loops verbatim as the absolute anchor of run_batch
+// (four scan allocators, every VmOrder), the
+// advance_to-never-changes-decisions property, the memory bound GC buys (on
+// the stream and on run_batch), and the lazy arrival streams against the
+// materializing generators.
 
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,6 +34,7 @@
 #include "workload/arrival_stream.h"
 #include "workload/diurnal.h"
 #include "workload/generator.h"
+#include "workload/scenarios.h"
 
 namespace esva {
 namespace {
@@ -145,27 +150,33 @@ TEST(StreamingDifferential, ReplayMatchesBatchForEveryStreamableAllocator) {
 
 // --- absolute anchor: the historical serial loop ---------------------------
 
-/// The pre-streaming min-incremental batch loop, verbatim: serial scan over
-/// all servers per VM in start-time order, Eq. 17 incremental cost, strict <
-/// so ties break to the lowest server id. The refactored allocate() and the
-/// streaming replay must both reproduce this exactly.
-Allocation historical_min_incremental(const ProblemInstance& problem) {
+/// A per-server score as the historical batch loops computed it; lower wins.
+using HistoricalScore =
+    std::function<double(const ServerTimeline&, const VmSpec&)>;
+
+/// The pre-streaming batch loop, verbatim: fixed-window timelines over
+/// [1, problem.horizon] built up front, a serial scan over all servers per VM
+/// in `order`, strict < so ties break to the lowest server id. run_batch's
+/// open, span-sized timelines and rolling frontier must reproduce it exactly;
+/// it is the only fixed-window oracle run_batch is held to.
+Allocation historical_serial_loop(const ProblemInstance& problem,
+                                  VmOrder order, const HistoricalScore& score) {
   std::vector<ServerTimeline> timelines;
   timelines.reserve(problem.num_servers());
   for (const ServerSpec& server : problem.servers)
     timelines.emplace_back(server, problem.horizon);
   Allocation alloc;
   alloc.assignment.assign(problem.num_vms(), kNoServer);
-  for (const std::size_t j : ordered_indices(problem, VmOrder::ByStartTime)) {
+  for (const std::size_t j : ordered_indices(problem, order)) {
     const VmSpec& vm = problem.vms[j];
     ServerId best = kNoServer;
-    Energy best_cost = 0.0;
+    double best_score = 0.0;
     for (std::size_t i = 0; i < timelines.size(); ++i) {
       if (!timelines[i].can_fit(vm)) continue;
-      const Energy cost = incremental_cost(timelines[i], vm, CostOptions{});
-      if (best == kNoServer || cost < best_cost) {
+      const double s = score(timelines[i], vm);
+      if (best == kNoServer || s < best_score) {
         best = static_cast<ServerId>(i);
-        best_cost = cost;
+        best_score = s;
       }
     }
     if (best == kNoServer) continue;
@@ -175,19 +186,186 @@ Allocation historical_min_incremental(const ProblemInstance& problem) {
   return alloc;
 }
 
+/// The historical scores, restated from their definitions rather than
+/// shared with the policies under test: Eq. 17 incremental energy, post-
+/// placement CPU headroom (Best Fit), negated cosine alignment of demand
+/// and remaining capacity (the maximizing loop, as a minimization), and
+/// idle power.
+HistoricalScore historical_score(const std::string& name) {
+  if (name == "min-incremental")
+    return [](const ServerTimeline& t, const VmSpec& vm) {
+      return incremental_cost(t, vm, CostOptions{});
+    };
+  if (name == "best-fit-cpu")
+    return [](const ServerTimeline& t, const VmSpec& vm) {
+      return t.spec().capacity.cpu - t.max_cpu_usage(vm.start, vm.end) -
+             vm.demand.cpu;
+    };
+  if (name == "dot-product-fit")
+    return [](const ServerTimeline& t, const VmSpec& vm) {
+      const double demand_norm = std::sqrt(vm.demand.cpu * vm.demand.cpu +
+                                           vm.demand.mem * vm.demand.mem);
+      const double cpu =
+          t.spec().capacity.cpu - t.max_cpu_usage(vm.start, vm.end);
+      const double mem =
+          t.spec().capacity.mem - t.max_mem_usage(vm.start, vm.end);
+      const double remaining_norm = std::sqrt(cpu * cpu + mem * mem);
+      double alignment = 0.0;
+      if (demand_norm > kEps && remaining_norm > kEps)
+        alignment = (vm.demand.cpu * cpu + vm.demand.mem * mem) /
+                    (demand_norm * remaining_norm);
+      return -alignment;
+    };
+  EXPECT_EQ(name, "lowest-idle-power");
+  return [](const ServerTimeline& t, const VmSpec& /*vm*/) {
+    return t.spec().p_idle;
+  };
+}
+
+constexpr VmOrder kAllOrders[] = {VmOrder::ByStartTime, VmOrder::ByArrivalId,
+                                  VmOrder::ByDurationDesc, VmOrder::ByCpuDesc};
+
+/// run_batch over the registered allocator's streaming policy.
+Allocation run_batch_with(const std::string& name,
+                          const ProblemInstance& problem, VmOrder order) {
+  const std::unique_ptr<PlacementPolicy> policy =
+      make_allocator(name)->make_policy();
+  EXPECT_NE(policy, nullptr) << name;
+  Rng rng(7);
+  return run_batch(problem, *policy, order, rng);
+}
+
 TEST(StreamingDifferential, MinIncrementalAnchoredToHistoricalSerialLoop) {
   for (std::uint64_t seed : {7u, 19u}) {
     for (const bool profiled : {false, true}) {
       const ProblemInstance problem =
           profiled ? profiled_instance(seed) : stable_instance(seed);
-      const Allocation anchor = historical_min_incremental(problem);
+      for (const char* name : {"min-incremental", "best-fit-cpu",
+                               "dot-product-fit", "lowest-idle-power"}) {
+        for (const VmOrder order : kAllOrders) {
+          const Allocation anchor =
+              historical_serial_loop(problem, order, historical_score(name));
+          EXPECT_GT(problem.num_vms() - anchor.num_unallocated(), 0u);
+          ASSERT_EQ(anchor.assignment,
+                    run_batch_with(name, problem, order).assignment)
+              << name << " drifted from the historical loop, order="
+              << to_string(order) << " seed=" << seed
+              << (profiled ? " (profiled)" : " (stable)");
+        }
+      }
+      const Allocation anchor = historical_serial_loop(
+          problem, VmOrder::ByStartTime, historical_score("min-incremental"));
       const Allocation batch = batch_run("min-incremental", problem);
       ASSERT_EQ(anchor.assignment, batch.assignment)
-          << "batch drifted from the historical loop, seed=" << seed;
+          << "allocate() drifted from the historical loop, seed=" << seed;
       const StreamRun stream =
           stream_run("min-incremental", problem, /*rolling_gc=*/true);
       ASSERT_EQ(anchor.assignment, stream.alloc.assignment)
           << "stream drifted from the historical loop, seed=" << seed;
+    }
+  }
+}
+
+// --- run_batch on open timelines -------------------------------------------
+
+// Open timelines have no upper bound, so run_batch itself leaves a VM
+// outside [1, problem.horizon] unallocated, as a fixed window's Horizon
+// reject did; placed, it would index past the horizon-sized arrays of
+// validate_allocation and the evaluators.
+TEST(RunBatch, LeavesVmsOutsideTheInstanceHorizonUnallocated) {
+  register_extension_allocators();
+  ProblemInstance problem = make_problem(
+      {testing::vm(0, 1, 10), testing::vm(1, 5, 20), testing::vm(2, 12, 30),
+       testing::vm(3, 1, 4)},
+      {testing::basic_server(0), testing::basic_server(1)});
+  problem.horizon = 20;        // vm 2 ends past it
+  problem.vms[3].start = 0;    // vm 3 starts before time 1
+  for (const std::string& name : allocator_names()) {
+    if (!make_allocator(name)->make_policy()) continue;
+    for (const VmOrder order : kAllOrders) {
+      const Allocation alloc = run_batch_with(name, problem, order);
+      const std::string where = name + " order=" + to_string(order);
+      EXPECT_NE(alloc.assignment[0], kNoServer) << where;
+      EXPECT_NE(alloc.assignment[1], kNoServer) << where;
+      EXPECT_EQ(alloc.assignment[2], kNoServer) << where;
+      EXPECT_EQ(alloc.assignment[3], kNoServer) << where;
+      EXPECT_EQ(validate_allocation(problem, alloc, /*require_complete=*/false),
+                "")
+          << where;
+    }
+  }
+}
+
+/// Forwards to a policy and watches the cluster run_batch drives it over:
+/// before every decision and at finish, it records the resident tree units
+/// and counts servers that hold trees without ever having hosted a VM.
+class ResidentWatch final : public PlacementPolicy {
+ public:
+  explicit ResidentWatch(PlacementPolicy& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+
+  void begin(const ClusterState& cluster, Rng& rng) override {
+    cluster_ = &cluster;
+    hosted.assign(cluster.num_servers(), false);
+    inner_.begin(cluster, rng);
+  }
+
+  PlacementDecision place_one(const ClusterState& cluster, const VmSpec& vm,
+                              Rng& rng) override {
+    observe(cluster);
+    const PlacementDecision decision = inner_.place_one(cluster, vm, rng);
+    if (decision.server != kNoServer)
+      hosted[static_cast<std::size_t>(decision.server)] = true;
+    return decision;
+  }
+
+  void finish(std::size_t requests, std::size_t unallocated) override {
+    observe(*cluster_);
+    inner_.finish(requests, unallocated);
+  }
+
+  std::vector<bool> hosted;
+  std::size_t peak_resident = 0;
+  std::size_t idle_with_trees = 0;
+
+ private:
+  void observe(const ClusterState& cluster) {
+    peak_resident = std::max(peak_resident, cluster.resident_time_units());
+    for (std::size_t i = 0; i < cluster.num_servers(); ++i)
+      if (!hosted[i] && cluster.timelines()[i].resident_units() != 0)
+        ++idle_with_trees;
+  }
+
+  PlacementPolicy& inner_;
+  const ClusterState* cluster_ = nullptr;
+};
+
+// A batch run materializes trees only on the servers it places on; in
+// start-time order the rolling frontier also keeps their spans at the
+// active window, far below the servers x horizon a fixed window builds.
+TEST(RunBatch, MaterializesTreesOnlyOnServersItPlacesOn) {
+  Rng gen(1);
+  const ProblemInstance problem = fig2_scenario(400, 2.0).instantiate(gen);
+  const std::size_t fixed_units =
+      problem.num_servers() * static_cast<std::size_t>(problem.horizon);
+  for (const VmOrder order : kAllOrders) {
+    const std::unique_ptr<PlacementPolicy> policy =
+        make_allocator("min-incremental")->make_policy();
+    ResidentWatch watch(*policy);
+    Rng rng(7);
+    const Allocation alloc = run_batch(problem, watch, order, rng);
+    const std::string where = to_string(order);
+    EXPECT_TRUE(alloc.fully_allocated()) << where;
+    EXPECT_EQ(watch.idle_with_trees, 0u) << where;
+    const auto hosts = static_cast<std::size_t>(
+        std::count(watch.hosted.begin(), watch.hosted.end(), true));
+    EXPECT_GT(hosts, 0u) << where;
+    EXPECT_LT(hosts, problem.num_servers() / 2) << where;
+    EXPECT_GT(watch.peak_resident, 0u) << where;
+    EXPECT_LT(watch.peak_resident, fixed_units) << where;
+    if (order == VmOrder::ByStartTime) {
+      EXPECT_LT(watch.peak_resident * 20, fixed_units) << where;
     }
   }
 }
@@ -382,30 +560,6 @@ TEST(RetirementCalendar, FailThenAdvanceRetiresTheReplacedVmOnce) {
   cluster.advance_to(21);
   EXPECT_EQ(cluster.active_vms(), 0u);
   expect_recount(cluster, "advance past vm2's end");
-  EXPECT_EQ(cluster.resident_time_units(), 0u);
-}
-
-// A cluster built over a fixed window (run_batch's initial_horizon) keeps
-// full-window trees until a VM ends past that window; then every placeable
-// timeline switches to an open window once, keeping what it hosts.
-TEST(RetirementCalendar, FixedWindowClusterOpensPastItsInitialHorizon) {
-  ClusterState cluster({testing::basic_server(0), testing::basic_server(1)},
-                       /*initial_horizon=*/64);
-  EXPECT_FALSE(cluster.timelines()[0].open());
-  EXPECT_EQ(cluster.resident_time_units(), 2u * 64u);
-  cluster.place(0, testing::vm(1, 1, 60, 6.0, 1.0));
-  cluster.ensure_horizon(64);  // covered: nothing changes
-  EXPECT_FALSE(cluster.timelines()[0].open());
-  cluster.ensure_horizon(150);
-  EXPECT_TRUE(cluster.timelines()[0].open());
-  EXPECT_TRUE(cluster.timelines()[1].open());
-  EXPECT_EQ(cluster.timelines()[1].resident_units(), 0u);
-  EXPECT_FALSE(cluster.timelines()[0].can_fit(testing::vm(2, 50, 150, 6.0)));
-  EXPECT_TRUE(cluster.timelines()[0].can_fit(testing::vm(2, 61, 150, 6.0)));
-  cluster.place(0, testing::vm(2, 61, 150, 6.0));
-  EXPECT_EQ(cluster.active_vms(), 2u);
-  expect_recount(cluster, "place past the initial horizon");
-  cluster.advance_to(151);
   EXPECT_EQ(cluster.resident_time_units(), 0u);
 }
 
