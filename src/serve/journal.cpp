@@ -151,7 +151,7 @@ std::string encode_place_record(std::uint64_t seq, const std::string& allocator,
   // exactly what the trace loader expects; everything else is a superset.
   // Append-only construction: this runs once per acked placement, and the
   // BENCH_perf.json "wal" gate holds the whole journal path to <= 5% over
-  // the bare stream replay.
+  // the unjournaled submit loop.
   std::string out;
   out.reserve(288);
   out += "{\"op\":\"place\",\"seq\":\"";

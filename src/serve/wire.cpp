@@ -34,9 +34,9 @@ void append_hex_double(std::string& out, double value) {
   // "0x1.<frac, trailing zeros trimmed>p<sign><decimal exp>" — because
   // snprintf dominates the per-record journal encode cost (three hexfloats
   // per place record; the BENCH_perf.json "wal" gate bounds the whole
-  // journal path at <= 5% over the bare replay). Subnormals, infinities and
-  // NaNs take the snprintf path; round-tripping via strtod is exact either
-  // way.
+  // journal path at <= 5% over the unjournaled loop). Subnormals,
+  // infinities and NaNs take the snprintf path; round-tripping via strtod
+  // is exact either way.
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof bits);
   const std::uint64_t frac = bits & ((std::uint64_t{1} << 52) - 1);

@@ -6,8 +6,8 @@
 // ClusterState::resident_time_units) the span-sized timelines and garbage
 // collection bound, and — when a FaultPlan or retry policy is configured — the fault
 // and retry outcomes (evacuations, downtime, deferred placements). Backs the
-// `esva stream` CLI command and the streaming section of
-// bench/perf_allocators.
+// `esva stream` CLI command, perfbench's stream-fleet workload, and the
+// telemetry gate and fleet tier of bench/perf_allocators.
 
 #pragma once
 
