@@ -72,7 +72,7 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   engine_ = std::make_unique<PlacementEngine>(std::move(servers), *policy_,
                                               rng_, eopts);
 
-  // --- recovery: snapshot restore, then journal replay past it ------------
+  // --- recovery: snapshot restore, history fold, then tail replay --------
   std::uint64_t applied = 0;
   if (!options_.snapshot_path.empty()) {
     bool found = false;
@@ -86,9 +86,6 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
             "(allocator/seed/fleet mismatch)");
       engine_->import_state(snap.engine);
       rng_.set_state(snap.rng);
-      for (const auto& [vm, server] : snap.assignment)
-        assignment_[vm] = server;
-      resolutions_applied_ = engine_->resolutions().size();
       applied = snap.wal_seq;
       from_snapshot_ = true;
     }
@@ -112,14 +109,25 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
     throw std::runtime_error("snapshot present but wal '" + options_.wal_path +
                              "' is missing or empty");
   }
-  std::uint64_t last_seq = applied;
+  // The snapshot holds live state only; the assignment history of the
+  // records it covers is folded from the journal, so every one of them must
+  // still be there.
+  const std::uint64_t last_seq =
+      wal.records.empty() ? 0 : wal.records.back().seq;
+  if (last_seq < applied)
+    throw std::runtime_error(
+        "wal '" + options_.wal_path + "' ends at seq " +
+        std::to_string(last_seq) + " but the snapshot covers seq " +
+        std::to_string(applied));
   for (const WalRecord& rec : wal.records) {
-    last_seq = rec.seq;
-    if (rec.seq <= applied) continue;  // already inside the snapshot
-    replay_record(rec);
-    ++replayed_;
+    if (rec.seq <= applied) {
+      fold_record(rec);  // the engine state is inside the snapshot
+    } else {
+      replay_record(rec);
+      ++replayed_;
+    }
   }
-  next_seq_ = std::max(applied, last_seq) + 1;
+  next_seq_ = last_seq + 1;
 
   // A torn tail must be cut off before the O_APPEND writer reopens the
   // file, or the next record would be concatenated onto the torn bytes and
@@ -151,8 +159,19 @@ ServerId Daemon::apply_retire(VmId vm) {
   return host;
 }
 
+void Daemon::fold_record(const WalRecord& rec) {
+  // The per-record rule apply_place / apply_retire follow live: the
+  // resolutions the op produced, then the op's own outcome.
+  for (const Resolution& r : rec.resolved) assignment_[r.vm] = r.server;
+  if (rec.op == WalRecord::Op::kPlace)
+    assignment_[rec.vm.id] = rec.chosen;
+  else if (rec.op == WalRecord::Op::kRetire)
+    assignment_[rec.vm_id] = kNoServer;
+}
+
 void Daemon::replay_record(const WalRecord& rec) {
   const std::string where = "wal replay (seq " + std::to_string(rec.seq) + ")";
+  const std::size_t first = resolutions_applied_;
   switch (rec.op) {
     case WalRecord::Op::kPlace: {
       const PlacementDecision decision = apply_place(rec.vm);
@@ -192,12 +211,30 @@ void Daemon::replay_record(const WalRecord& rec) {
       sync_resolutions();
       break;
   }
+  // The resolutions are history a later snapshot will not carry: they must
+  // match the journal's, entry for entry, or the fold and the engine disagree.
+  const std::span<const Resolution> regenerated = resolved_since(first);
+  const auto same = [](const Resolution& a, const Resolution& b) {
+    return a.vm == b.vm && a.server == b.server;
+  };
+  if (!std::equal(regenerated.begin(), regenerated.end(),
+                  rec.resolved.begin(), rec.resolved.end(), same))
+    throw std::runtime_error(
+        where + ": replay's resolutions diverged from the journal's "
+                "resolved list (" +
+        std::to_string(regenerated.size()) + " vs " +
+        std::to_string(rec.resolved.size()) + " entries)");
 }
 
 void Daemon::sync_resolutions() {
   const std::vector<Resolution>& rs = engine_->resolutions();
   for (; resolutions_applied_ < rs.size(); ++resolutions_applied_)
     assignment_[rs[resolutions_applied_].vm] = rs[resolutions_applied_].server;
+}
+
+std::span<const Resolution> Daemon::resolved_since(std::size_t first) const {
+  const std::vector<Resolution>& rs = engine_->resolutions();
+  return std::span<const Resolution>(rs).subspan(first);
 }
 
 void Daemon::wal_append(const std::string& record) {
@@ -245,15 +282,15 @@ void Daemon::do_snapshot() {
   snap.wal_seq = next_seq_ - 1;
   snap.engine = engine_->export_state();
   snap.rng = rng_.state();
-  snap.assignment.assign(assignment_.begin(), assignment_.end());
   write_snapshot_atomic(options_.snapshot_path, snap);
   ops_since_snapshot_ = 0;
 }
 
 void Daemon::drain() {
+  const std::size_t first = resolutions_applied_;
   engine_->finish_stream();
   sync_resolutions();
-  journal(encode_drain_record(next_seq_));
+  journal(encode_drain_record(next_seq_, resolved_since(first)));
   wal_sync();
   do_snapshot();
 }
@@ -310,12 +347,15 @@ std::string Daemon::dispatch(const Request& req) {
   std::string out = "{\"ok\":true";
   if (req.has_id) out += ",\"id\":" + std::to_string(req.id);
   out += ",\"op\":" + json::escape(to_string(req.op));
+  // Each journaled record carries the resolutions its op produced.
+  const std::size_t first = resolutions_applied_;
   switch (req.op) {
     case OpKind::kPlace: {
       const PlacementDecision decision = apply_place(req.vm);
       const std::uint64_t seq = next_seq_;
       journal(encode_place_record(seq, options_.allocator, req.vm, decision,
-                                  engine_->total_energy()));
+                                  engine_->total_energy(),
+                                  resolved_since(first)));
       out += ",\"seq\":" + u64_field(seq);
       out += ",\"vm\":" + std::to_string(req.vm.id);
       out += ",\"server\":";
@@ -327,7 +367,8 @@ std::string Daemon::dispatch(const Request& req) {
     case OpKind::kRetire: {
       const ServerId host = apply_retire(req.vm_id);
       const std::uint64_t seq = next_seq_;
-      journal(encode_retire_record(seq, req.vm_id, host));
+      journal(encode_retire_record(seq, req.vm_id, host,
+                                   resolved_since(first)));
       out += ",\"seq\":" + u64_field(seq);
       out += ",\"vm\":" + std::to_string(req.vm_id);
       out += ",\"server\":";
@@ -338,7 +379,7 @@ std::string Daemon::dispatch(const Request& req) {
       engine_->advance_to(req.to);
       sync_resolutions();
       const std::uint64_t seq = next_seq_;
-      journal(encode_advance_record(seq, req.to));
+      journal(encode_advance_record(seq, req.to, resolved_since(first)));
       out += ",\"seq\":" + u64_field(seq);
       out += ",\"frontier\":" +
              std::to_string(engine_->cluster().frontier());
@@ -348,7 +389,7 @@ std::string Daemon::dispatch(const Request& req) {
       engine_->apply_fault(req.fault);
       sync_resolutions();
       const std::uint64_t seq = next_seq_;
-      journal(encode_fault_record(seq, req.fault));
+      journal(encode_fault_record(seq, req.fault, resolved_since(first)));
       out += ",\"seq\":" + u64_field(seq);
       break;
     }

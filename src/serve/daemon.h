@@ -5,15 +5,22 @@
 //
 // Durability contract: every state-changing op is applied to the engine
 // first, then journaled, then acked (append-after-apply; the fsync schedule
-// is WalWriter's). A restarted daemon reconstructs its state by loading the
-// latest snapshot (if any) and *re-running the engine* over the journal
-// records after it — the same deterministic policy with the same seed makes
-// replay reproduce every decision bit-for-bit, and the journal's recorded
-// outcomes (chosen server, cumulative energy as hexfloat) are verified as
-// replay-fidelity checksums. tests/test_serve.cpp pins that a daemon-fed
-// stream — including one SIGKILLed and restarted mid-stream — produces
-// assignments and total energy byte-identical to the same workload through
-// `esva stream` (sim/replay.cpp).
+// is WalWriter's). Each journal record carries the op's whole effect on the
+// vm -> server history: the engine resolutions it produced ("resolved") and
+// its own outcome. Snapshots hold only live state (O(live VMs), not
+// O(uptime)). A restarted daemon reconstructs its state in three steps:
+// load the latest snapshot (if any); fold the journal records it covers
+// into the assignment history (resolved pairs, then the record's own place
+// or retire); and *re-run the engine* over the records after it — the same
+// deterministic policy with the same seed makes replay reproduce every
+// decision bit-for-bit, and the journal's recorded outcomes (chosen server,
+// cumulative energy as hexfloat, resolved pairs) are verified as
+// replay-fidelity checksums. `stats --assignment` is therefore the full
+// history — every VM ever placed — live and after any restart.
+// tests/test_serve.cpp pins that a daemon-fed stream — including one
+// SIGKILLed and restarted mid-stream — produces assignments and total
+// energy byte-identical to the same workload through `esva stream`
+// (sim/replay.cpp).
 //
 // Engine configuration mirrors replay_stream exactly (grow-on-demand
 // horizon, auto-advance, energy accounting, tolerated late arrivals); fault
@@ -31,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,9 +74,11 @@ struct DaemonOptions {
 class Daemon {
  public:
   /// Builds the engine and runs recovery: snapshot restore (if one exists),
-  /// then journal replay of every record past it, with checksum
-  /// verification. Throws std::runtime_error on header/config mismatches,
-  /// mid-journal corruption, or replay divergence.
+  /// the assignment-history fold of the journal records it covers, then
+  /// journal replay of every record past it, with checksum verification.
+  /// Throws std::runtime_error on header/config mismatches, a journal that
+  /// ends before the snapshot's wal_seq, mid-journal corruption, or replay
+  /// divergence.
   Daemon(std::vector<ServerSpec> servers, DaemonOptions options);
   ~Daemon();
   Daemon(const Daemon&) = delete;
@@ -112,7 +122,8 @@ class Daemon {
   const PlacementEngine& engine() const { return *engine_; }
   const std::map<VmId, ServerId>& assignment() const { return assignment_; }
   std::uint64_t last_seq() const { return next_seq_ - 1; }
-  /// Records re-run during recovery and whether a torn tail was dropped.
+  /// Records re-run during recovery (only those past the snapshot) and
+  /// whether a torn tail was dropped.
   std::uint64_t replayed_records() const { return replayed_; }
   bool recovered_torn_tail() const { return torn_tail_; }
   bool recovered_from_snapshot() const { return from_snapshot_; }
@@ -124,10 +135,18 @@ class Daemon {
  private:
   PlacementDecision apply_place(const VmSpec& vm);
   ServerId apply_retire(VmId vm);
+  /// Recovery, records the snapshot covers: applies the record's resolved
+  /// pairs, then its own place/retire, to the assignment map only.
+  void fold_record(const WalRecord& rec);
+  /// Recovery, records past the snapshot: re-runs the engine and checks the
+  /// recorded chosen / energy_hex / resolved against the re-run.
   void replay_record(const WalRecord& rec);
   /// Folds engine resolutions (evacuations, retry placements, unresolved
   /// displacements) accrued since the last call into the assignment map.
   void sync_resolutions();
+  /// The engine resolutions from index `first` on — an op's own, when
+  /// `first` was resolutions_applied_ before the op.
+  std::span<const Resolution> resolved_since(std::size_t first) const;
   void journal(const std::string& record);
   /// WalWriter::append / ::sync with halt-on-failure semantics: a throw
   /// records fatal_ (the engine is ahead of the journal) and rethrows.

@@ -19,7 +19,7 @@ namespace esva::serve {
 
 namespace {
 
-constexpr int kWalVersion = 1;
+constexpr int kWalVersion = 2;
 
 /// u64 quantities (seq, seed) ride as decimal strings: a double-backed JSON
 /// number loses exactness past 2^53.
@@ -40,6 +40,45 @@ std::uint64_t require_u64(const json::Value& obj, const std::string& key,
 
 [[noreturn]] void fail_line(std::size_t line, const std::string& what) {
   throw std::runtime_error("wal line " + std::to_string(line) + ": " + what);
+}
+
+/// Appends `,"resolved":[[vm,server|null],...]`, nothing when empty.
+void append_resolved(std::string& out, std::span<const Resolution> resolved) {
+  if (resolved.empty()) return;
+  out += ",\"resolved\":[";
+  for (std::size_t k = 0; k < resolved.size(); ++k) {
+    if (k > 0) out += ',';
+    out += '[';
+    out += std::to_string(resolved[k].vm);
+    out += ',';
+    out += resolved[k].server == kNoServer ? "null"
+                                           : std::to_string(resolved[k].server);
+    out += ']';
+  }
+  out += ']';
+}
+
+std::vector<Resolution> decode_resolved(const json::Value& list,
+                                        std::size_t line) {
+  if (list.kind != json::Value::Kind::Array)
+    fail_line(line, "'resolved' is not an array");
+  std::vector<Resolution> out;
+  out.reserve(list.array.size());
+  for (const json::Value& pair : list.array) {
+    if (pair.kind != json::Value::Kind::Array || pair.array.size() != 2 ||
+        pair.array[0].kind != json::Value::Kind::Number ||
+        !(pair.array[1].is_null() ||
+          pair.array[1].kind == json::Value::Kind::Number))
+      fail_line(line, "'resolved' entries are [vm,server|null] pairs");
+    Resolution r;
+    r.vm = checked_integer_as<VmId>(pair.array[0].number, "wal resolved vm");
+    if (!pair.array[1].is_null())
+      r.server = static_cast<ServerId>(checked_integer(
+          pair.array[1].number, 0, std::numeric_limits<ServerId>::max(),
+          "wal resolved server"));
+    out.push_back(r);
+  }
+  return out;
 }
 
 WalHeader decode_header(const json::Value& root, std::size_t line) {
@@ -124,6 +163,8 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
   } else {
     fail_line(line, "unknown record op '" + op + "'");
   }
+  if (const json::Value* r = root.find("resolved"))
+    rec.resolved = decode_resolved(*r, line);
   return rec;
 }
 
@@ -146,7 +187,8 @@ std::string encode_wal_header(const WalHeader& header) {
 std::string encode_place_record(std::uint64_t seq, const std::string& allocator,
                                 const VmSpec& vm,
                                 const PlacementDecision& decision,
-                                Energy energy_after) {
+                                Energy energy_after,
+                                std::span<const Resolution> resolved) {
   // Key-compatible with to_jsonl(VmDecisionTrace): "vm" and "chosen" mean
   // exactly what the trace loader expects; everything else is a superset.
   // Append-only construction: this runs once per acked placement, and the
@@ -168,11 +210,13 @@ std::string encode_place_record(std::uint64_t seq, const std::string& allocator,
   append_vm(out, vm);
   out += ",\"energy_hex\":";
   append_hex_double(out, energy_after);
+  append_resolved(out, resolved);
   out += '}';
   return out;
 }
 
-std::string encode_retire_record(std::uint64_t seq, VmId vm, ServerId host) {
+std::string encode_retire_record(std::uint64_t seq, VmId vm, ServerId host,
+                                 std::span<const Resolution> resolved) {
   std::string out = "{\"op\":\"retire\",\"seq\":" + u64_field(seq);
   out += ",\"vm\":" + std::to_string(vm);
   // "chosen":null is the trace-schema half: last-write-wins over the journal
@@ -180,26 +224,37 @@ std::string encode_retire_record(std::uint64_t seq, VmId vm, ServerId host) {
   out += ",\"chosen\":null,\"note\":\"retired\"";
   out += ",\"server\":";
   out += host == kNoServer ? "null" : std::to_string(host);
+  append_resolved(out, resolved);
   out += '}';
   return out;
 }
 
-std::string encode_advance_record(std::uint64_t seq, Time to) {
-  return "{\"op\":\"advance\",\"seq\":" + u64_field(seq) +
-         ",\"to\":" + std::to_string(to) + '}';
+std::string encode_advance_record(std::uint64_t seq, Time to,
+                                  std::span<const Resolution> resolved) {
+  std::string out = "{\"op\":\"advance\",\"seq\":" + u64_field(seq) +
+                    ",\"to\":" + std::to_string(to);
+  append_resolved(out, resolved);
+  out += '}';
+  return out;
 }
 
-std::string encode_fault_record(std::uint64_t seq, const FaultEvent& event) {
+std::string encode_fault_record(std::uint64_t seq, const FaultEvent& event,
+                                std::span<const Resolution> resolved) {
   std::string out = "{\"op\":\"fault\",\"seq\":" + u64_field(seq);
   out += ",\"at\":" + std::to_string(event.at);
   out += ",\"kind\":" + json::escape(esva::to_string(event.kind));
   out += ",\"server\":" + std::to_string(event.server);
+  append_resolved(out, resolved);
   out += '}';
   return out;
 }
 
-std::string encode_drain_record(std::uint64_t seq) {
-  return "{\"op\":\"drain\",\"seq\":" + u64_field(seq) + '}';
+std::string encode_drain_record(std::uint64_t seq,
+                                std::span<const Resolution> resolved) {
+  std::string out = "{\"op\":\"drain\",\"seq\":" + u64_field(seq);
+  append_resolved(out, resolved);
+  out += '}';
+  return out;
 }
 
 WalFile read_wal(const std::string& path) {
@@ -307,11 +362,20 @@ void truncate_wal(const std::string& path, std::uint64_t valid_bytes) {
 std::vector<VmDecisionTrace> decisions_from_wal(
     const std::vector<WalRecord>& records) {
   std::string jsonl;
-  for (const WalRecord& rec : records)
+  for (const WalRecord& rec : records) {
+    for (const Resolution& r : rec.resolved) {
+      VmDecisionTrace resolution;
+      resolution.vm = r.vm;
+      resolution.chosen = r.server;
+      resolution.note = "resolved";
+      jsonl += to_jsonl(resolution);
+      jsonl += '\n';
+    }
     if (rec.op == WalRecord::Op::kPlace || rec.op == WalRecord::Op::kRetire) {
       jsonl += rec.raw;
       jsonl += '\n';
     }
+  }
   std::istringstream in(jsonl);
   return load_trace_jsonl(in);
 }

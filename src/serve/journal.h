@@ -4,32 +4,45 @@
 //
 // Record schema (docs/FORMATS.md#wal):
 //
-//   header   {"op":"hdr","format":"esva-wal","version":1,"allocator":...,
+//   header   {"op":"hdr","format":"esva-wal","version":2,"allocator":...,
 //             "seed":"S","servers":N,"retry_max":...,"retry_delay":...,
 //             "retry_backoff":"0x...","retry_queue":N}
 //   place    {"op":"place","seq":"K","allocator":...,"vm":J,
 //             "chosen":S|null,"reject":"...",?"note":...,
-//             "spec":{...encode_vm...},"energy_hex":"0x..."}
+//             "spec":{...encode_vm...},"energy_hex":"0x...",?"resolved":[...]}
 //   retire   {"op":"retire","seq":"K","vm":J,"chosen":null,
-//             "server":S|null,"note":"retired"}
-//   advance  {"op":"advance","seq":"K","to":T}
-//   fault    {"op":"fault","seq":"K","at":T,"kind":"fail","server":S}
-//   drain    {"op":"drain","seq":"K"}
+//             "server":S|null,"note":"retired",?"resolved":[...]}
+//   advance  {"op":"advance","seq":"K","to":T,?"resolved":[...]}
+//   fault    {"op":"fault","seq":"K","at":T,"kind":"fail","server":S,
+//             ?"resolved":[...]}
+//   drain    {"op":"drain","seq":"K",?"resolved":[...]}
+//
+// "resolved":[[vm,server|null],...] lists, in engine order, the late
+// resolutions the engine produced while applying the record (evacuation
+// re-placements, retry placements, displacements left homeless); the key is
+// omitted when the list is empty. Each record thus carries its whole effect
+// on the daemon's vm -> server history: its resolved pairs, then its own
+// place ("chosen") or retire (null). That per-record rule is how recovery
+// folds the records a snapshot covers (snapshots hold live state only, no
+// history) and how decisions_from_wal folds a journal offline.
 //
 // place and retire records are deliberate *supersets* of the decision-trace
 // schema (obs/trace.h): they carry "vm" and "chosen" exactly as to_jsonl
 // would, so decisions_from_wal() can feed them straight through
 // load_trace_jsonl and assignment_from_trace — a WAL is also a decision
 // trace of the daemon's lifetime (last-write-wins gives the final hosting,
-// retires landing as kNoServer). The extra keys (op/seq/spec/energy_hex) are
-// ignored by the trace loader.
+// retires landing as kNoServer). The extra keys (op/seq/spec/energy_hex/
+// resolved) are ignored by the trace loader.
 //
-// Recovery does NOT trust recorded outcomes: it re-runs the deterministic
-// engine over the journaled *inputs* (advance and fault records trigger
-// policy-invoking retries and evacuations that a record-application scheme
-// could not reproduce). The recorded "chosen" and cumulative "energy_hex"
-// then act as replay-fidelity checksums — any divergence from the live run
-// is a hard error, not silent corruption (serve/daemon.cpp).
+// Recovery does NOT trust recorded outcomes past the snapshot: it re-runs
+// the deterministic engine over those records' journaled *inputs* (advance
+// and fault records trigger policy-invoking retries and evacuations that a
+// record-application scheme could not reproduce). The recorded "chosen",
+// cumulative "energy_hex" and "resolved" list then act as replay-fidelity
+// checksums — any divergence from the live run is a hard error, not silent
+// corruption (serve/daemon.cpp). Records the snapshot covers are only
+// folded into the assignment history; their effect on the engine is already
+// in the snapshot.
 //
 // Torn tails: a malformed LAST line, or any final line missing its
 // terminating newline (the crash window of an append — a completed batch
@@ -42,6 +55,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +90,9 @@ struct WalRecord {
   ServerId chosen = kNoServer;
   bool has_energy = false;
   Energy energy_after = 0.0;    ///< cumulative engine energy after the op
+  /// Engine resolutions produced while applying the record, in order
+  /// (absent key = none).
+  std::vector<Resolution> resolved;
   /// The verbatim journal line (decisions_from_wal re-parses it through the
   /// decision-trace loader).
   std::string raw;
@@ -97,19 +114,27 @@ struct WalFile {
 };
 
 // --- record encoders (daemon side) -----------------------------------------
+//
+// `resolved` is the list of engine resolutions the op produced; it lands as
+// the record's "resolved" key, omitted when empty.
 
 std::string encode_wal_header(const WalHeader& header);
 std::string encode_place_record(std::uint64_t seq, const std::string& allocator,
                                 const VmSpec& vm,
                                 const PlacementDecision& decision,
-                                Energy energy_after);
-std::string encode_retire_record(std::uint64_t seq, VmId vm, ServerId host);
-std::string encode_advance_record(std::uint64_t seq, Time to);
-std::string encode_fault_record(std::uint64_t seq, const FaultEvent& event);
-std::string encode_drain_record(std::uint64_t seq);
+                                Energy energy_after,
+                                std::span<const Resolution> resolved = {});
+std::string encode_retire_record(std::uint64_t seq, VmId vm, ServerId host,
+                                 std::span<const Resolution> resolved = {});
+std::string encode_advance_record(std::uint64_t seq, Time to,
+                                  std::span<const Resolution> resolved = {});
+std::string encode_fault_record(std::uint64_t seq, const FaultEvent& event,
+                                std::span<const Resolution> resolved = {});
+std::string encode_drain_record(std::uint64_t seq,
+                                std::span<const Resolution> resolved = {});
 
 /// Parses a whole journal. Throws std::runtime_error on a missing/invalid
-/// header or a malformed non-final record; a malformed final line only sets
+/// header (any version but 2 included) or a malformed non-final record; a malformed final line only sets
 /// torn_tail. An empty path-or-file yields an empty WalFile with a
 /// default-constructed header (records empty) — callers treat that as a
 /// fresh journal.
@@ -121,10 +146,12 @@ WalFile read_wal(const std::string& path);
 /// read_wal reported torn_tail. Throws std::runtime_error on I/O failure.
 void truncate_wal(const std::string& path, std::uint64_t valid_bytes);
 
-/// The place/retire records as decision-trace entries, via the real trace
-/// loader (load_trace_jsonl) — pinning that every journal line stays
-/// schema-compatible with obs/trace.h. Last-write-wins over these (e.g.
-/// assignment_from_trace) yields the daemon's final hosting.
+/// The journal as a decision trace, via the real trace loader
+/// (load_trace_jsonl) — pinning that every place/retire line stays
+/// schema-compatible with obs/trace.h. Per record, its resolved pairs come
+/// first (note "resolved"), then its own place/retire line, so last-write-wins
+/// over the result (e.g. assignment_from_trace) yields the daemon's final
+/// hosting, evacuations and retry placements included.
 std::vector<VmDecisionTrace> decisions_from_wal(
     const std::vector<WalRecord>& records);
 

@@ -19,7 +19,7 @@ namespace esva::serve {
 
 namespace {
 
-constexpr int kSnapshotVersion = 1;
+constexpr int kSnapshotVersion = 2;
 
 std::string u64_field(std::uint64_t v) { return "\"" + std::to_string(v) + "\""; }
 
@@ -105,13 +105,7 @@ std::string encode_engine(const EngineStateSnapshot& e) {
   out += ",\"rejected_final\":" + std::to_string(f.rejected_final);
   out += ",\"queue_full\":" + std::to_string(f.queue_full);
   out += ",\"downtime_units\":" + std::to_string(f.downtime_units);
-  out += "},\"resolutions\":[";
-  for (std::size_t k = 0; k < e.resolutions.size(); ++k) {
-    if (k > 0) out += ',';
-    out += '[' + std::to_string(e.resolutions[k].vm) + ',' +
-           std::to_string(e.resolutions[k].server) + ']';
-  }
-  out += "]}";
+  out += "}}";
   return out;
 }
 
@@ -182,21 +176,6 @@ EngineStateSnapshot decode_engine(const json::Value& obj) {
   e.fault_stats.downtime_units =
       require_int<std::int64_t>(stats, "downtime_units", ctx);
 
-  const json::Value& resolutions =
-      require_member(obj, "resolutions", json::Value::Kind::Array, ctx);
-  for (const json::Value& r : resolutions.array) {
-    if (r.kind != json::Value::Kind::Array || r.array.size() != 2 ||
-        r.array[0].kind != json::Value::Kind::Number ||
-        r.array[1].kind != json::Value::Kind::Number)
-      throw std::runtime_error(ctx + ": resolutions are [vm,server] pairs");
-    Resolution res;
-    res.vm = checked_integer_as<VmId>(r.array[0].number,
-                                      ctx + " resolution vm");
-    res.server = static_cast<ServerId>(checked_integer(
-        r.array[1].number, kNoServer, std::numeric_limits<ServerId>::max(),
-        ctx + " resolution server"));
-    e.resolutions.push_back(res);
-  }
   return e;
 }
 
@@ -215,13 +194,7 @@ std::string encode_snapshot(const SnapshotData& snap) {
     out += u64_field(snap.rng[k]);
   }
   out += "],\"engine\":" + encode_engine(snap.engine);
-  out += ",\"assignment\":[";
-  for (std::size_t k = 0; k < snap.assignment.size(); ++k) {
-    if (k > 0) out += ',';
-    out += '[' + std::to_string(snap.assignment[k].first) + ',' +
-           std::to_string(snap.assignment[k].second) + ']';
-  }
-  out += "]}";
+  out += '}';
   return out;
 }
 
@@ -259,21 +232,6 @@ SnapshotData decode_snapshot(const std::string& text) {
   if (snap.engine.servers.size() != snap.num_servers)
     throw std::runtime_error("snapshot: engine.servers disagrees with the "
                              "declared fleet size");
-  const json::Value& assignment =
-      require_member(root, "assignment", json::Value::Kind::Array, "snapshot");
-  for (const json::Value& pair : assignment.array) {
-    if (pair.kind != json::Value::Kind::Array || pair.array.size() != 2 ||
-        pair.array[0].kind != json::Value::Kind::Number ||
-        pair.array[1].kind != json::Value::Kind::Number)
-      throw std::runtime_error("snapshot: assignment entries are "
-                               "[vm,server] pairs");
-    const VmId vm = checked_integer_as<VmId>(pair.array[0].number,
-                                             "snapshot assignment vm");
-    const ServerId server = static_cast<ServerId>(checked_integer(
-        pair.array[1].number, kNoServer, std::numeric_limits<ServerId>::max(),
-        "snapshot assignment server"));
-    snap.assignment.emplace_back(vm, server);
-  }
   return snap;
 }
 

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -39,6 +40,7 @@
 #include "sim/replay.h"
 #include "test_util.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "workload/arrival_stream.h"
 #include "workload/trace.h"
@@ -57,6 +59,26 @@ using serve::WalRecord;
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/esva_serve_" + std::to_string(::getpid()) +
          "_" + name;
+}
+
+/// True when ESVA_FUZZ_QUICK is set to anything non-empty except "0" — the
+/// Debug-CI and sanitizer budget (tests/CMakeLists.txt wires it through
+/// ctest): the long-run snapshot-size test shrinks, the properties checked
+/// stay the same.
+bool quick_mode() {
+  const char* env = std::getenv("ESVA_FUZZ_QUICK");
+  return env != nullptr && *env != '\0' && std::string(env) != "0";
+}
+
+/// What `what` threw, or "" when it did not throw.
+template <typename F>
+std::string thrown_message(F&& what) {
+  try {
+    what();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
 }
 
 VmSpec awkward_vm() {
@@ -328,6 +350,78 @@ TEST(ServeWal, RecordsDoubleAsDecisionTrace) {
   ::unlink(path.c_str());
 }
 
+TEST(ServeWal, ResolvedPairsRoundTripAndAreOmittedWhenEmpty) {
+  const std::vector<Resolution> resolved{{4, 2}, {5, kNoServer}};
+  PlacementDecision d;
+  d.server = 1;
+  const std::vector<std::string> with = {
+      serve::encode_place_record(1, "ffps", testing::vm(3, 2, 9), d, 1.0,
+                                 resolved),
+      serve::encode_retire_record(2, 3, 1, resolved),
+      serve::encode_advance_record(3, 15, resolved),
+      serve::encode_fault_record(4, {16, FaultKind::kFail, 1}, resolved),
+      serve::encode_drain_record(5, resolved)};
+  for (const std::string& line : with)
+    EXPECT_NE(line.find(R"("resolved":[[4,2],[5,null]])"), std::string::npos)
+        << line;
+  EXPECT_EQ(serve::encode_advance_record(6, 20).find("resolved"),
+            std::string::npos);
+  EXPECT_EQ(serve::encode_place_record(7, "ffps", testing::vm(8, 20, 30), d,
+                                       1.0)
+                .find("resolved"),
+            std::string::npos);
+
+  const std::string path = temp_path("wal_resolved.wal");
+  ::unlink(path.c_str());
+  {
+    serve::WalWriter writer(path, test_header(), 1);
+    for (const std::string& line : with) writer.append(line);
+    writer.append(serve::encode_advance_record(6, 20));
+  }
+  const WalFile wal = serve::read_wal(path);
+  ASSERT_EQ(wal.records.size(), 6u);
+  for (std::size_t k = 0; k < 5; ++k) {
+    ASSERT_EQ(wal.records[k].resolved.size(), 2u) << "record " << k;
+    EXPECT_EQ(wal.records[k].resolved[0].vm, 4);
+    EXPECT_EQ(wal.records[k].resolved[0].server, 2);
+    EXPECT_EQ(wal.records[k].resolved[1].vm, 5);
+    EXPECT_EQ(wal.records[k].resolved[1].server, kNoServer);
+  }
+  EXPECT_TRUE(wal.records[5].resolved.empty());
+  ::unlink(path.c_str());
+}
+
+TEST(ServeWal, MalformedResolvedListIsFatalMidFile) {
+  const std::string path = temp_path("wal_bad_resolved.wal");
+  {
+    std::ofstream out(path);
+    out << serve::encode_wal_header(test_header()) << '\n';
+    out << R"({"op":"advance","seq":"1","to":9,"resolved":[[1]]})" << '\n';
+    out << serve::encode_advance_record(2, 10) << '\n';
+  }
+  EXPECT_NE(thrown_message([&] { serve::read_wal(path); }).find("resolved"),
+            std::string::npos);
+  ::unlink(path.c_str());
+}
+
+TEST(ServeWal, Version1JournalIsRefused) {
+  // Format 2 moved the assignment history into the journal ("resolved");
+  // a version-1 journal lacks it, and there is no second read path.
+  const std::string path = temp_path("wal_v1.wal");
+  std::string header = serve::encode_wal_header(test_header());
+  const std::string v2 = "\"version\":2";
+  ASSERT_NE(header.find(v2), std::string::npos) << header;
+  header.replace(header.find(v2), v2.size(), "\"version\":1");
+  {
+    std::ofstream out(path);
+    out << header << '\n' << serve::encode_advance_record(1, 9) << '\n';
+  }
+  const std::string error = thrown_message([&] { serve::read_wal(path); });
+  EXPECT_NE(error.find("unsupported wal version 1"), std::string::npos)
+      << error;
+  ::unlink(path.c_str());
+}
+
 // --- snapshot ---------------------------------------------------------------
 
 TEST(ServeSnapshot, RoundTripsEngineState) {
@@ -359,9 +453,8 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   snap.engine.retry_queue.push_back(pending);
   snap.engine.fault_stats.fault_events = 3;
   snap.engine.fault_stats.evacuated = 2;
-  snap.engine.resolutions.push_back({5, 1});
+  snap.engine.resolutions.push_back({5, 1});  // history: never written
   snap.rng = {1, 2, 3, 4};
-  snap.assignment = {{0, 1}, {5, 1}, {7, 0}, {9, kNoServer}};
 
   const std::string path = temp_path("snap_roundtrip.snap");
   serve::write_snapshot_atomic(path, snap);
@@ -384,11 +477,13 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   EXPECT_TRUE(back.engine.retry_queue[0].displaced);
   EXPECT_EQ(back.engine.fault_stats.fault_events, 3);
   EXPECT_EQ(back.engine.fault_stats.evacuated, 2);
-  ASSERT_EQ(back.engine.resolutions.size(), 1u);
-  EXPECT_EQ(back.engine.resolutions[0].vm, 5);
   EXPECT_EQ(back.rng, (std::array<std::uint64_t, 4>{1, 2, 3, 4}));
-  ASSERT_EQ(back.assignment.size(), 4u);
-  EXPECT_EQ(back.assignment[3].second, kNoServer);
+  // Format 2 holds live state only: the assignment and resolution history
+  // stay in the journal.
+  EXPECT_TRUE(back.engine.resolutions.empty());
+  const std::string text = serve::encode_snapshot(snap);
+  EXPECT_EQ(text.find("\"resolutions\""), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"assignment\""), std::string::npos) << text;
   ::unlink(path.c_str());
 }
 
@@ -396,6 +491,19 @@ TEST(ServeSnapshot, AbsentFileReportsNotFound) {
   bool found = true;
   serve::load_snapshot(temp_path("never_written.snap"), &found);
   EXPECT_FALSE(found);
+}
+
+TEST(ServeSnapshot, Version1SnapshotIsRefused) {
+  serve::SnapshotData snap;
+  snap.allocator = "min-incremental";
+  std::string text = serve::encode_snapshot(snap);
+  EXPECT_NO_THROW(serve::decode_snapshot(text));
+  const std::string v2 = "\"version\":2";
+  ASSERT_NE(text.find(v2), std::string::npos) << text;
+  text.replace(text.find(v2), v2.size(), "\"version\":1");
+  const std::string error =
+      thrown_message([&] { serve::decode_snapshot(text); });
+  EXPECT_NE(error.find("unsupported version 1"), std::string::npos) << error;
 }
 
 // --- daemon vs replay_stream equivalence ------------------------------------
@@ -739,6 +847,226 @@ TEST(ServeRecovery, ChecksumDivergenceIsFatal) {
   ::unlink(path.c_str());
 }
 
+// --- assignment history: journal "resolved" pairs ---------------------------
+
+/// Two 10-CPU servers and a client op sequence whose history holds every
+/// kind of late resolution: a deferred request a retry later places (vm 2)
+/// and evacuations off failed servers (vm 0, twice). kHistorySnapshotAt
+/// splits it where the end-to-end test snapshots: both kinds land before the
+/// split, and the tail evacuates once more.
+std::vector<ServerSpec> history_fleet() {
+  return {testing::basic_server(0), testing::basic_server(1)};
+}
+
+const std::vector<std::string>& history_ops() {
+  static const std::vector<std::string> kOps = {
+      // vm 0 and vm 1 fill one server each; vm 2 fits on neither: deferred.
+      R"({"op":"place","vm":{"id":0,"type":"t","cpu":9,"mem":1,"start":1,"end":100}})",
+      R"({"op":"place","vm":{"id":1,"type":"t","cpu":9,"mem":1,"start":1,"end":100}})",
+      R"({"op":"place","vm":{"id":2,"type":"t","cpu":2,"mem":1,"start":2,"end":30}})",
+      R"({"op":"retire","vm":1})",
+      // Server 0 fails: vm 0 is evacuated onto the freed server 1.
+      R"({"op":"fault","at":4,"kind":"fail","server":0})",
+      R"({"op":"fault","at":5,"kind":"recover","server":0})",
+      // Past vm 2's retry delay: this submit drains the retry onto server 0.
+      R"({"op":"place","vm":{"id":3,"type":"t","cpu":1,"mem":1,"start":7,"end":20}})",
+      R"({"op":"place","vm":{"id":4,"type":"t","cpu":1,"mem":1,"start":8,"end":60}})",
+      // --- kHistorySnapshotAt ---
+      R"({"op":"fault","at":35,"kind":"fail","server":1})",
+      R"({"op":"place","vm":{"id":5,"type":"t","cpu":1,"mem":1,"start":36,"end":50}})",
+      R"({"op":"advance","to":40})",
+  };
+  return kOps;
+}
+constexpr std::size_t kHistorySnapshotAt = 8;
+constexpr std::size_t kHistoryVms = 6;
+
+RetryPolicy history_retry() {
+  RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.base_delay = 4;
+  retry.backoff = 2.0;
+  retry.queue_capacity = 16;
+  return retry;
+}
+
+void feed_lines(Daemon& daemon, const std::vector<std::string>& lines,
+                std::size_t from, std::size_t to) {
+  for (std::size_t k = from; k < to; ++k) {
+    const std::string response = daemon.handle_line(lines[k]);
+    ASSERT_EQ(response.rfind("{\"ok\":true", 0), 0u) << lines[k] << " -> "
+                                                      << response;
+  }
+}
+
+/// The `stats --assignment` pairs in vm-id order, kNoServer for null.
+std::vector<ServerId> stats_assignment(const std::string& stats,
+                                       std::size_t num_vms) {
+  std::vector<ServerId> out(num_vms, kNoServer);
+  const json::Value parsed = json::parse(stats);
+  const json::Value* assignment = parsed.find("assignment");
+  if (!assignment || assignment->kind != json::Value::Kind::Array)
+    throw std::runtime_error("stats without an assignment: " + stats);
+  for (const json::Value& pair : assignment->array) {
+    const auto vm = static_cast<std::size_t>(pair.array.at(0).number);
+    if (vm >= num_vms) throw std::runtime_error("stats vm out of range");
+    out[vm] = static_cast<ServerId>(pair.array.at(1).number);
+  }
+  return out;
+}
+
+std::int64_t stats_count(const std::string& stats, const std::string& key) {
+  return static_cast<std::int64_t>(
+      json::require_integer(json::parse(stats), key, 0, 1LL << 40, "stats"));
+}
+
+TEST(ServeHistory, OfflineJournalFoldMatchesStatsAfterEvacuationAndRetry) {
+  // decisions_from_wal -> assignment_from_trace must see the evacuations and
+  // the retry placement: each record's resolved pairs come before its own
+  // decision, the same rule the daemon applies live and on recovery.
+  DaemonOptions options =
+      daemon_options("min-incremental", 42, history_retry(), "hist_fold");
+  Daemon daemon(history_fleet(), options);
+  feed_lines(daemon, history_ops(), 0, history_ops().size());
+  const std::string stats = daemon.stats_json(/*with_assignment=*/true);
+  ASSERT_GE(stats_count(stats, "evacuated"), 2) << stats;
+  ASSERT_GE(stats_count(stats, "retried_placed"), 1) << stats;
+  const std::vector<ServerId> live = stats_assignment(stats, kHistoryVms);
+  EXPECT_EQ(live[0], 0) << "vm 0 ends on server 0 after two evacuations";
+  EXPECT_EQ(live[2], 0) << "vm 2 was placed by a retry";
+
+  const WalFile wal = serve::read_wal(options.wal_path);
+  const std::vector<ServerId> folded = assignment_from_trace(
+      serve::decisions_from_wal(wal.records), kHistoryVms);
+  EXPECT_EQ(folded, live);
+  ::unlink(options.wal_path.c_str());
+}
+
+TEST(ServeHistory, TamperedResolvedEntryRefusesToServe) {
+  DaemonOptions options =
+      daemon_options("min-incremental", 42, history_retry(), "hist_tamper");
+  {
+    Daemon daemon(history_fleet(), options);
+    feed_lines(daemon, history_ops(), 0, history_ops().size());
+  }
+  std::string text;
+  {
+    std::ifstream in(options.wal_path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  // Re-point the first resolved entry at a VM the engine never resolved.
+  const std::string key = "\"resolved\":[[";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << "the history journals no resolutions";
+  const std::size_t vm_begin = at + key.size();
+  text.replace(vm_begin, text.find(',', vm_begin) - vm_begin, "99");
+  {
+    std::ofstream out(options.wal_path, std::ios::trunc);
+    out << text;
+  }
+  const std::string error =
+      thrown_message([&] { Daemon recovered(history_fleet(), options); });
+  EXPECT_NE(error.find("resolved"), std::string::npos) << error;
+  ::unlink(options.wal_path.c_str());
+}
+
+TEST(ServeHistory, JournalEndingBeforeTheSnapshotRefusesToServe) {
+  // The snapshot carries no history: a journal missing records it covers
+  // would silently lose their assignments.
+  DaemonOptions options = daemon_options("min-incremental", 42,
+                                         history_retry(), "hist_short",
+                                         /*with_snapshot=*/true);
+  {
+    Daemon daemon(history_fleet(), options);
+    feed_lines(daemon, history_ops(), 0, kHistorySnapshotAt);
+    daemon.checkpoint();
+  }
+  const WalFile wal = serve::read_wal(options.wal_path);
+  ASSERT_FALSE(wal.records.empty());
+  {
+    serve::WalWriter writer(options.wal_path + ".short", wal.header, 1);
+    for (std::size_t k = 0; k + 1 < wal.records.size(); ++k)
+      writer.append(wal.records[k].raw);
+  }
+  ASSERT_EQ(::rename((options.wal_path + ".short").c_str(),
+                     options.wal_path.c_str()),
+            0);
+  const std::string error =
+      thrown_message([&] { Daemon recovered(history_fleet(), options); });
+  EXPECT_NE(error.find("snapshot covers"), std::string::npos) << error;
+  ::unlink(options.wal_path.c_str());
+  ::unlink(options.snapshot_path.c_str());
+}
+
+/// Snapshot bytes after `places` arrivals at constant live load: four
+/// arrivals per time unit, lifetimes of 10..29 units (~80 live VMs), and a
+/// fail/recover pair every 200 arrivals so evacuations keep accruing
+/// history.
+std::uintmax_t snapshot_bytes_after(std::size_t places,
+                                    const std::string& tag) {
+  std::vector<ServerSpec> fleet;
+  for (ServerId i = 0; i < 30; ++i) fleet.push_back(testing::basic_server(i));
+  DaemonOptions options = daemon_options("min-incremental", 42,
+                                         history_retry(), tag,
+                                         /*with_snapshot=*/true);
+  options.wal_sync_every = 1024;
+  std::uintmax_t bytes = 0;
+  {
+    Daemon daemon(fleet, options);
+    for (std::size_t j = 0; j < places; ++j) {
+      const Time start = 1 + static_cast<Time>(j / 4);
+      if (j % 200 == 100) {
+        const ServerId victim = static_cast<ServerId>((j / 200) % 30);
+        EXPECT_EQ(daemon
+                      .handle_line(R"({"op":"fault","at":)" +
+                                   std::to_string(start) +
+                                   R"(,"kind":"fail","server":)" +
+                                   std::to_string(victim) + "}")
+                      .rfind("{\"ok\":true", 0),
+                  0u);
+        EXPECT_EQ(daemon
+                      .handle_line(R"({"op":"fault","at":)" +
+                                   std::to_string(start + 1) +
+                                   R"(,"kind":"recover","server":)" +
+                                   std::to_string(victim) + "}")
+                      .rfind("{\"ok\":true", 0),
+                  0u);
+      }
+      Request req;
+      req.op = OpKind::kPlace;
+      req.vm = testing::vm(static_cast<VmId>(j), start + 1,
+                           start + 10 + static_cast<Time>((j * 7) % 20),
+                           1.0 + static_cast<double>(j % 3), 1.0);
+      const std::string response =
+          daemon.handle_line(serve::encode_request(req));
+      EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+    }
+    EXPECT_GT(daemon.engine().fault_stats().evacuated, 0);
+    EXPECT_EQ(daemon.handle_line(R"({"op":"snapshot"})").rfind("{\"ok\":true", 0),
+              0u);
+    struct stat st{};
+    EXPECT_EQ(::stat(options.snapshot_path.c_str(), &st), 0);
+    bytes = static_cast<std::uintmax_t>(st.st_size);
+  }
+  ::unlink(options.wal_path.c_str());
+  ::unlink(options.snapshot_path.c_str());
+  return bytes;
+}
+
+TEST(ServeHistory, SnapshotBytesStayFlatOverAnEightTimesLongerRun) {
+  const std::size_t short_run = quick_mode() ? 400 : 1000;
+  const std::uintmax_t short_bytes =
+      snapshot_bytes_after(short_run, "flat_short");
+  const std::uintmax_t long_bytes =
+      snapshot_bytes_after(8 * short_run, "flat_long");
+  ASSERT_GT(short_bytes, 0u);
+  EXPECT_LE(static_cast<double>(long_bytes),
+            1.5 * static_cast<double>(short_bytes))
+      << "short run " << short_bytes << " B, 8x run " << long_bytes << " B";
+}
+
 // --- retire and handle_line surface ----------------------------------------
 
 TEST(ServeDaemon, RetireFreesCapacityAndPinsAssignment) {
@@ -1025,13 +1353,22 @@ TEST(ServeSocket, ConnectionsStayAlignedAcrossCloseAndAcceptInOneRound) {
 
 #ifdef ESVA_BIN_PATH
 
+/// `esva serve` over min-incremental, seed 42; `extra` flags are appended.
 pid_t spawn_serve(const std::string& servers_csv, const std::string& socket,
-                  const std::string& wal) {
+                  const std::string& wal,
+                  const std::vector<std::string>& extra = {}) {
+  std::vector<std::string> args = {"esva",     "serve",  "--servers",
+                                   servers_csv, "--socket", socket,
+                                   "--wal",     wal,      "--seed",
+                                   "42",        "--allocator",
+                                   "min-incremental"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
-  ::execl(ESVA_BIN_PATH, "esva", "serve", "--servers", servers_csv.c_str(),
-          "--socket", socket.c_str(), "--wal", wal.c_str(), "--seed", "42",
-          "--allocator", "min-incremental", static_cast<char*>(nullptr));
+  ::execv(ESVA_BIN_PATH, argv.data());
   ::_exit(127);
 }
 
@@ -1144,6 +1481,94 @@ TEST(ServeEndToEnd, SigkilledDaemonRecoversToByteIdenticalStream) {
   ::unlink(servers_csv.c_str());
   ::unlink(socket_path.c_str());
   ::unlink(wal_path.c_str());
+}
+
+/// The `"assignment":[...]` member of a stats response, verbatim.
+std::string assignment_member(const std::string& stats) {
+  const std::size_t at = stats.find("\"assignment\":[");
+  if (at == std::string::npos) return "";
+  return stats.substr(at, stats.rfind(']') - at + 1);  // the last member
+}
+
+TEST(ServeEndToEnd, SigkilledDaemonRecoversSnapshottedHistory) {
+  // The snapshot is taken after evacuations and a retry placement, so its
+  // history lives only in the journal's "resolved" pairs: after SIGKILL and
+  // restart, `stats --assignment` must still list it byte for byte, and only
+  // the records past the snapshot are replayed.
+  struct stat st{};
+  if (::stat(ESVA_BIN_PATH, &st) != 0)
+    GTEST_SKIP() << "esva binary not built at " << ESVA_BIN_PATH;
+
+  const std::string servers_csv = temp_path("hist_e2e_servers.csv");
+  save_server_trace(servers_csv, history_fleet());
+  const std::string socket_path = temp_path("hist_e2e.sock");
+  const std::string wal_path = temp_path("hist_e2e.wal");
+  const std::string snap_path = temp_path("hist_e2e.snap");
+  ::unlink(socket_path.c_str());
+  ::unlink(wal_path.c_str());
+  ::unlink(snap_path.c_str());
+  const std::vector<std::string> flags = {
+      "--snapshot",  snap_path, "--retry-max",     "3", "--retry-delay", "4",
+      "--retry-backoff", "2",   "--retry-queue", "16"};
+
+  // The uninterrupted run, in-process under the same configuration.
+  DaemonOptions options = daemon_options("min-incremental", 42,
+                                         history_retry(), "hist_e2e_ref");
+  Daemon reference(history_fleet(), options);
+  feed_lines(reference, history_ops(), 0, history_ops().size());
+  const std::string expected = reference.stats_json(true);
+  ASSERT_GE(stats_count(expected, "evacuated"), 2) << expected;
+  ASSERT_GE(stats_count(expected, "retried_placed"), 1) << expected;
+
+  pid_t pid = spawn_serve(servers_csv, socket_path, wal_path, flags);
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(wait_for_socket(socket_path)) << "daemon never listened";
+  std::uint64_t snapshot_seq = 0;
+  {
+    serve::Client client(socket_path);
+    for (std::size_t k = 0; k < history_ops().size(); ++k) {
+      if (k == kHistorySnapshotAt) {
+        const std::string snap = client.call(R"({"op":"snapshot"})");
+        ASSERT_EQ(snap.rfind("{\"ok\":true", 0), 0u) << snap;
+        const std::string before = client.call(R"({"op":"stats"})");
+        ASSERT_GE(stats_count(before, "evacuated"), 1) << before;
+        ASSERT_GE(stats_count(before, "retried_placed"), 1) << before;
+        snapshot_seq = parse_u64_field(
+            json::parse(snap).find("wal_seq")->string, "wal_seq");
+      }
+      ASSERT_EQ(client.call(history_ops()[k]).rfind("{\"ok\":true", 0), 0u)
+          << history_ops()[k];
+    }
+  }
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ::unlink(socket_path.c_str());
+
+  pid = spawn_serve(servers_csv, socket_path, wal_path, flags);
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(wait_for_socket(socket_path)) << "restart never listened";
+  std::string stats;
+  {
+    serve::Client client(socket_path);
+    stats = client.call(R"({"op":"stats","assignment":true})");
+  }
+  ::kill(pid, SIGTERM);
+  ::waitpid(pid, &status, 0);
+
+  EXPECT_EQ(assignment_member(stats), assignment_member(expected)) << stats;
+  EXPECT_NE(assignment_member(stats), "");
+  EXPECT_EQ(json::parse(stats).find("energy_hex")->string,
+            json::parse(expected).find("energy_hex")->string);
+  EXPECT_EQ(stats_count(stats, "replayed"),
+            static_cast<std::int64_t>(reference.last_seq() - snapshot_seq));
+
+  ::unlink(options.wal_path.c_str());
+  ::unlink(servers_csv.c_str());
+  ::unlink(socket_path.c_str());
+  ::unlink(wal_path.c_str());
+  ::unlink(snap_path.c_str());
 }
 
 #endif  // ESVA_BIN_PATH
