@@ -508,18 +508,14 @@ Gate measure_wal(int num_vms, int reps, bool quick) {
               "every %d)...\n",
               num_vms, journal_dir.c_str(), kSyncEvery);
 
-  // EngineOptions mirror serve::Daemon exactly.
+  // The engine serve::Daemon runs, with its default options.
   const auto run = [&](bool journal, std::vector<ServerId>& assignment,
                        Energy& energy) {
     AllocatorPtr allocator = make_allocator("min-incremental");
     std::unique_ptr<PlacementPolicy> policy = allocator->make_policy();
     Rng rng(7);
-    EngineOptions eopts;
-    eopts.initial_horizon = 0;
-    eopts.auto_advance = true;
-    eopts.account_energy = true;
-    eopts.tolerate_late_arrivals = true;
-    PlacementEngine engine(problem.servers, *policy, rng, eopts);
+    PlacementEngine engine(problem.servers, *policy, rng,
+                           serving_engine_options());
     std::unique_ptr<serve::WalWriter> wal;
     if (journal) {
       ::unlink(journal_path.c_str());

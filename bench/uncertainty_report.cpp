@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     const bool positive = ci.valid && ci.lo > 0.0;
     all_positive = all_positive && positive;
     table.add_row({row.label, fmt_percent(ci.point),
-                   "[" + fmt_percent(ci.lo) + ", " + fmt_percent(ci.hi) + "]",
+                   '[' + fmt_percent(ci.lo) + ", " + fmt_percent(ci.hi) + ']',
                    std::to_string(samples.size()),
                    positive ? "yes" : "NO"});
   }

@@ -63,7 +63,7 @@ int main() {
   for (std::size_t j = 0; j < problem.num_vms(); ++j) {
     const VmSpec& vm = problem.vms[j];
     table.add_row({std::to_string(vm.id), vm.type_name,
-                   "[" + std::to_string(vm.start) + "," +
+                   '[' + std::to_string(vm.start) + ',' +
                        std::to_string(vm.end) + "]",
                    std::to_string(ours.assignment[j]),
                    std::to_string(baseline.assignment[j])});

@@ -38,14 +38,13 @@ class FfpsAllocator final : public Allocator {
 
   std::string name() const override { return "ffps"; }
 
-  /// The server probe order is shuffled once per call using `rng`.
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
-  /// First-fit as a stream policy; the probe-order shuffle happens at
-  /// begin(), exactly where allocate() drew it.
+  /// First-fit as a stream policy. The server probe order is shuffled from
+  /// the run's rng at begin(), so allocate() draws it once per call.
   std::unique_ptr<PlacementPolicy> make_policy() const override;
 
  private:
+  VmOrder order() const override { return options_.order; }
+
   Options options_;
 };
 

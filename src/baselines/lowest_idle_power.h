@@ -22,11 +22,11 @@ class LowestIdlePowerAllocator final : public Allocator {
 
   std::string name() const override { return "lowest-idle-power"; }
 
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
   std::unique_ptr<PlacementPolicy> make_policy() const override;
 
  private:
+  VmOrder order() const override { return options_.order; }
+
   Options options_;
 };
 

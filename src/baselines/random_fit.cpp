@@ -3,7 +3,6 @@
 #include "cluster/timeline.h"
 #include "core/cost_model.h"
 #include "core/streaming.h"
-#include "obs/metrics.h"
 
 namespace esva {
 
@@ -71,13 +70,6 @@ class RandomFitPolicy final : public PlacementPolicy {
 
 std::unique_ptr<PlacementPolicy> RandomFitAllocator::make_policy() const {
   return std::make_unique<RandomFitPolicy>(name(), obs_);
-}
-
-Allocation RandomFitAllocator::allocate(const ProblemInstance& problem,
-                                        Rng& rng) {
-  ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
-  const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, order_, rng, obs_);
 }
 
 }  // namespace esva

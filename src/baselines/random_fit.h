@@ -15,11 +15,11 @@ class RandomFitAllocator final : public Allocator {
 
   std::string name() const override { return "random-fit"; }
 
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
   std::unique_ptr<PlacementPolicy> make_policy() const override;
 
  private:
+  VmOrder order() const override { return order_; }
+
   VmOrder order_;
 };
 

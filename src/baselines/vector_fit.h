@@ -29,11 +29,11 @@ class DotProductFitAllocator final : public Allocator {
   /// Deterministic: maximizes the cosine between the VM's demand and the
   /// server's peak remaining capacity over the VM's interval; ties toward
   /// the lower server id.
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
   std::unique_ptr<PlacementPolicy> make_policy() const override;
 
  private:
+  VmOrder order() const override { return options_.order; }
+
   Options options_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/allocator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 #include "core/streaming.h"
@@ -10,6 +11,13 @@ namespace esva {
 
 std::unique_ptr<PlacementPolicy> Allocator::make_policy() const {
   return nullptr;
+}
+
+Allocation Allocator::allocate(const ProblemInstance& problem, Rng& rng) {
+  ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
+  const std::unique_ptr<PlacementPolicy> policy = make_policy();
+  assert(policy && "an allocator without a stream policy overrides allocate()");
+  return run_batch(problem, *policy, order(), rng, obs_);
 }
 
 Timer* allocate_timer(MetricsRegistry* metrics, const std::string& allocator) {

@@ -46,16 +46,20 @@ class Allocator {
   /// Short stable name used in reports ("min-incremental", "ffps", ...).
   virtual std::string name() const = 0;
 
-  /// Produces an assignment for every VM (kNoServer where infeasible).
-  virtual Allocation allocate(const ProblemInstance& problem, Rng& rng) = 0;
+  /// Produces an assignment for every VM (kNoServer where infeasible). The
+  /// default is the one body every streamable allocator shares: run_batch
+  /// over a fresh make_policy() in order(), timed as
+  /// "allocator.<name>.allocate_ms". Allocators without a stream policy (the
+  /// ext batch passes) override it.
+  virtual Allocation allocate(const ProblemInstance& problem, Rng& rng);
 
   /// Streaming counterpart of allocate(): a fresh per-request policy
   /// (core/streaming.h) bound to the allocator's current options and
-  /// observability context. For every allocator that overrides this,
-  /// allocate() is implemented as "sort by start time, feed the stream" over
-  /// exactly this policy, so the batch and streaming paths cannot drift
-  /// (tests/test_streaming.cpp). Returns null for inherently batch
-  /// allocators (the ext lookahead/reoptimization passes).
+  /// observability context. For every allocator that overrides this, the
+  /// default allocate() feeds exactly this policy, so the batch and
+  /// streaming paths cannot drift (tests/test_streaming.cpp). Returns null
+  /// for inherently batch allocators (the ext lookahead/reoptimization
+  /// passes).
   virtual std::unique_ptr<PlacementPolicy> make_policy() const;
 
   /// Observability hook shared by every allocator (obs/trace.h): a trace
@@ -67,6 +71,9 @@ class Allocator {
   const ObsContext& obs() const { return obs_; }
 
  protected:
+  /// Presentation order of the default allocate().
+  virtual VmOrder order() const { return VmOrder::ByStartTime; }
+
   ObsContext obs_;
 };
 

@@ -23,9 +23,8 @@ std::string line_context(std::size_t line) {
 }
 
 FaultKind parse_kind(const std::string& field, std::size_t line) {
-  if (field == "fail") return FaultKind::kFail;
-  if (field == "drain") return FaultKind::kDrain;
-  if (field == "recover") return FaultKind::kRecover;
+  if (const std::optional<FaultKind> kind = parse_fault_kind(field))
+    return *kind;
   fail_line(line, "unknown event '" + field + "' (fail|drain|recover)");
 }
 
@@ -41,6 +40,13 @@ std::string to_string(FaultKind kind) {
       return "recover";
   }
   return "?";
+}
+
+std::optional<FaultKind> parse_fault_kind(std::string_view name) {
+  if (name == "fail") return FaultKind::kFail;
+  if (name == "drain") return FaultKind::kDrain;
+  if (name == "recover") return FaultKind::kRecover;
+  return std::nullopt;
 }
 
 FaultPlan::FaultPlan(std::vector<FaultEvent> events)

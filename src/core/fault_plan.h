@@ -20,7 +20,9 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -35,6 +37,10 @@ enum class FaultKind {
 };
 
 std::string to_string(FaultKind kind);
+
+/// Inverse of to_string(FaultKind): "fail", "drain" or "recover"; nullopt
+/// for any other name (each caller words its own error).
+std::optional<FaultKind> parse_fault_kind(std::string_view name);
 
 struct FaultEvent {
   Time at = 1;  ///< fires when the engine's frontier reaches this time

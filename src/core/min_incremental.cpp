@@ -2,7 +2,6 @@
 
 #include "core/candidate_scan.h"
 #include "core/streaming.h"
-#include "obs/metrics.h"
 
 namespace esva {
 
@@ -27,13 +26,6 @@ struct MinIncrementalScore {
 std::unique_ptr<PlacementPolicy> MinIncrementalAllocator::make_policy() const {
   return make_scan_policy(name(), /*score_is_energy_delta=*/true,
                           MinIncrementalScore{options_.cost}, obs_);
-}
-
-Allocation MinIncrementalAllocator::allocate(const ProblemInstance& problem,
-                                             Rng& rng) {
-  ScopedTimer total_timer(allocate_timer(obs_.metrics, name()));
-  const std::unique_ptr<PlacementPolicy> policy = make_policy();
-  return run_batch(problem, *policy, options_.order, rng, obs_);
 }
 
 }  // namespace esva

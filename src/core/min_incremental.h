@@ -39,15 +39,14 @@ class MinIncrementalAllocator final : public Allocator {
 
   std::string name() const override { return "min-incremental"; }
 
-  /// Deterministic (ignores rng): ties on incremental cost break toward the
-  /// lowest server id.
-  Allocation allocate(const ProblemInstance& problem, Rng& rng) override;
-
-  /// The same decision loop as allocate(), one request at a time
-  /// (core/streaming.h).
+  /// The decision loop, one request at a time (core/streaming.h); allocate()
+  /// feeds it. Deterministic (ignores rng): ties on incremental cost break
+  /// toward the lowest server id.
   std::unique_ptr<PlacementPolicy> make_policy() const override;
 
  private:
+  VmOrder order() const override { return options_.order; }
+
   Options options_;
 };
 

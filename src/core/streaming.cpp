@@ -336,6 +336,20 @@ void PlacementPolicy::begin(const ClusterState& /*cluster*/, Rng& /*rng*/) {}
 void PlacementPolicy::finish(std::size_t /*requests*/,
                              std::size_t /*unallocated*/) {}
 
+EngineOptions serving_engine_options(const CostOptions& cost,
+                                     const RetryPolicy& retry,
+                                     Energy migration_cost_per_gib) {
+  EngineOptions options;
+  options.initial_horizon = 0;
+  options.auto_advance = true;
+  options.account_energy = true;
+  options.cost = cost;
+  options.tolerate_late_arrivals = true;
+  options.retry = retry;
+  options.migration_cost_per_gib = migration_cost_per_gib;
+  return options;
+}
+
 Time RetryPolicy::delay_for(int attempts) const {
   assert(attempts >= 1);
   const double delay = static_cast<double>(base_delay) *
@@ -499,7 +513,6 @@ EngineStateSnapshot PlacementEngine::export_state() const {
     snap.retry_queue.push_back(
         {p.vm, p.not_before, p.attempts, p.displaced, p.waiting_since, p.seq});
   snap.fault_stats = faults_;
-  snap.resolutions = resolutions_;
   return snap;
 }
 
@@ -524,7 +537,6 @@ void PlacementEngine::import_state(const EngineStateSnapshot& snap) {
     retry_queue_.push_back(std::move(pending));
   }
   faults_ = snap.fault_stats;
-  resolutions_ = snap.resolutions;
 }
 
 void PlacementEngine::apply_event(const FaultEvent& event) {

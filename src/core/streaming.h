@@ -64,6 +64,7 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/server_spec.h"
@@ -386,6 +387,16 @@ struct EngineOptions {
   EnergyLedger* ledger = nullptr;
 };
 
+/// The engine configuration `esva stream` (replay_stream) and `esva serve`
+/// share, so a daemon-fed stream is byte-identical to a replayed one: a
+/// planning horizon grown on demand, auto-advance GC, energy accounting and
+/// late arrivals classified (kLateArrival) instead of thrown. Callers attach
+/// their own fault plan, sinks and observability. The defaults are
+/// EngineOptions' own.
+EngineOptions serving_engine_options(const CostOptions& cost = {},
+                                     const RetryPolicy& retry = {},
+                                     Energy migration_cost_per_gib = 25.0);
+
 /// Graceful-degradation counters of one engine run (mirrored into the obs
 /// registry as engine.* when a MetricsRegistry is bound).
 struct FaultStats {
@@ -449,7 +460,6 @@ struct EngineStateSnapshot {
   /// Sorted by (not_before, seq), exactly the live queue order.
   std::vector<PendingSnapshot> retry_queue;
   FaultStats fault_stats;
-  std::vector<Resolution> resolutions;
 };
 
 /// Stateful streaming allocator: submit requests in non-decreasing
@@ -522,8 +532,17 @@ class PlacementEngine {
   std::size_t peak_resident_time_units() const { return peak_resident_; }
 
   const FaultStats& fault_stats() const { return faults_; }
-  /// Post-submit hosting changes, in application order.
+  /// Post-submit hosting changes not yet taken, in application order. A
+  /// run that never calls take_resolutions() (replay_stream) reads the whole
+  /// run's log here after finish_stream().
   const std::vector<Resolution>& resolutions() const { return resolutions_; }
+  /// Hands over the pending resolutions and leaves the queue empty: each
+  /// entry is taken exactly once. The serve daemon takes them after every
+  /// op, so the queue holds one op's resolutions at most. Makes no heap
+  /// allocation when nothing is pending.
+  std::vector<Resolution> take_resolutions() {
+    return std::exchange(resolutions_, {});
+  }
 
   /// Forces a time-series sample at the current frontier, ignoring the
   /// sampler's cadence (end-of-stream final state). No-op without a sampler.
@@ -579,6 +598,7 @@ class PlacementEngine {
   /// Sorted by (not_before, seq); drained from the front.
   std::vector<PendingRequest> retry_queue_;
   FaultStats faults_;
+  /// Resolutions not yet taken (take_resolutions()).
   std::vector<Resolution> resolutions_;
 };
 

@@ -20,8 +20,6 @@ namespace esva::serve {
 
 namespace {
 
-std::string u64_field(std::uint64_t v) { return "\"" + std::to_string(v) + "\""; }
-
 std::string error_response(const Request* req, const std::string& what) {
   std::string out = "{\"ok\":false";
   if (req && req->has_id) out += ",\"id\":" + std::to_string(req->id);
@@ -51,26 +49,18 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
   header_.num_servers = servers.size();
   header_.retry = options_.retry;
 
-  // The engine mirrors replay_stream's configuration exactly (sim/replay.cpp)
-  // so a daemon-fed stream is byte-identical to `esva stream`: grow-on-demand
-  // horizon, auto-advance GC, energy accounting, tolerated stragglers. Fault
-  // events arrive as ops (PlacementEngine::apply_fault), not a plan.
+  // replay_stream's engine configuration, so a daemon-fed stream is
+  // byte-identical to `esva stream`. Fault events arrive as ops
+  // (PlacementEngine::apply_fault), not a plan.
   allocator_ = make_allocator(options_.allocator);
   policy_ = allocator_->make_policy();
   if (!policy_)
     throw std::invalid_argument("allocator '" + options_.allocator +
                                 "' is batch-only (no streaming policy)");
-  EngineOptions eopts;
-  eopts.initial_horizon = 0;
-  eopts.auto_advance = true;
-  eopts.account_energy = true;
-  eopts.cost = options_.cost;
-  eopts.tolerate_late_arrivals = true;
-  eopts.faults = nullptr;
-  eopts.retry = options_.retry;
-  eopts.migration_cost_per_gib = options_.migration_cost_per_gib;
-  engine_ = std::make_unique<PlacementEngine>(std::move(servers), *policy_,
-                                              rng_, eopts);
+  engine_ = std::make_unique<PlacementEngine>(
+      std::move(servers), *policy_, rng_,
+      serving_engine_options(options_.cost, options_.retry,
+                             options_.migration_cost_per_gib));
 
   // --- recovery: snapshot restore, history fold, then tail replay --------
   std::uint64_t applied = 0;
@@ -121,7 +111,8 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
         std::to_string(applied));
   for (const WalRecord& rec : wal.records) {
     if (rec.seq <= applied) {
-      fold_record(rec);  // the engine state is inside the snapshot
+      // The engine state is inside the snapshot; only the history is not.
+      record_history(rec.req, rec.chosen, rec.resolved);
     } else {
       replay_record(rec);
       ++replayed_;
@@ -141,100 +132,104 @@ Daemon::Daemon(std::vector<ServerSpec> servers, DaemonOptions options)
 
 Daemon::~Daemon() = default;
 
-PlacementDecision Daemon::apply_place(const VmSpec& vm) {
-  const PlacementDecision decision = engine_->submit(vm);
-  // A submit can drain due retries for *other* requests first; fold those
-  // resolutions in before recording this request's own outcome.
-  sync_resolutions();
-  assignment_[vm.id] = decision.server;
-  return decision;
+Daemon::Outcome Daemon::apply(const Request& op) {
+  Outcome out;
+  switch (op.op) {
+    case OpKind::kPlace:
+      out.decision = engine_->submit(op.vm);
+      break;
+    case OpKind::kRetire:
+      out.decision.server = engine_->retire_vm(op.vm_id);
+      break;
+    case OpKind::kAdvance:
+      engine_->advance_to(op.to);
+      break;
+    case OpKind::kFault:
+      engine_->apply_fault(op.fault);
+      break;
+    case OpKind::kDrain:
+      engine_->finish_stream();
+      break;
+    case OpKind::kStats:
+    case OpKind::kSnapshot:
+      throw std::logic_error("serve: " + to_string(op.op) +
+                             " is not a journaled op");
+  }
+  out.resolved = engine_->take_resolutions();
+  return out;
 }
 
-ServerId Daemon::apply_retire(VmId vm) {
-  const ServerId host = engine_->retire_vm(vm);
-  sync_resolutions();
-  // Trace semantics: a retire journals "chosen":null, so last-write-wins
-  // over the journal resolves this VM to kNoServer — mirror that here.
-  assignment_[vm] = kNoServer;
-  return host;
+void Daemon::record_history(const Request& op, ServerId chosen,
+                            std::span<const Resolution> resolved) {
+  // A submit can drain due retries for *other* requests first, so the op's
+  // resolutions land before its own outcome. A retire journals
+  // "chosen":null, so last-write-wins over the journal resolves the VM to
+  // kNoServer; the map does the same.
+  for (const Resolution& r : resolved) assignment_[r.vm] = r.server;
+  if (op.op == OpKind::kPlace)
+    assignment_[op.vm.id] = chosen;
+  else if (op.op == OpKind::kRetire)
+    assignment_[op.vm_id] = kNoServer;
 }
 
-void Daemon::fold_record(const WalRecord& rec) {
-  // The per-record rule apply_place / apply_retire follow live: the
-  // resolutions the op produced, then the op's own outcome.
-  for (const Resolution& r : rec.resolved) assignment_[r.vm] = r.server;
-  if (rec.op == WalRecord::Op::kPlace)
-    assignment_[rec.vm.id] = rec.chosen;
-  else if (rec.op == WalRecord::Op::kRetire)
-    assignment_[rec.vm_id] = kNoServer;
+Daemon::Outcome Daemon::apply_and_journal(const Request& op) {
+  Outcome out = apply(op);
+  record_history(op, out.decision.server, out.resolved);
+  const std::uint64_t seq = next_seq_;
+  switch (op.op) {
+    case OpKind::kPlace:
+      journal(encode_place_record(seq, options_.allocator, op.vm, out.decision,
+                                  engine_->total_energy(), out.resolved));
+      break;
+    case OpKind::kRetire:
+      journal(encode_retire_record(seq, op.vm_id, out.decision.server,
+                                   out.resolved));
+      break;
+    case OpKind::kAdvance:
+      journal(encode_advance_record(seq, op.to, out.resolved));
+      break;
+    case OpKind::kFault:
+      journal(encode_fault_record(seq, op.fault, out.resolved));
+      break;
+    case OpKind::kDrain:
+      journal(encode_drain_record(seq, out.resolved));
+      break;
+    case OpKind::kStats:
+    case OpKind::kSnapshot:
+      break;  // apply() refused them
+  }
+  return out;
 }
 
 void Daemon::replay_record(const WalRecord& rec) {
-  const std::string where = "wal replay (seq " + std::to_string(rec.seq) + ")";
-  const std::size_t first = resolutions_applied_;
-  switch (rec.op) {
-    case WalRecord::Op::kPlace: {
-      const PlacementDecision decision = apply_place(rec.vm);
-      // Fidelity checksums: the deterministic re-run must land exactly where
-      // the live run did — on the same server, at the same cumulative
-      // energy (bit-exact, hence hexfloat). Divergence means the journal
-      // and the engine configuration no longer agree; refusing to serve is
-      // the only safe answer.
-      if (decision.server != rec.chosen)
-        throw std::runtime_error(
-            where + ": replay chose server " +
-            std::to_string(decision.server) + ", journal recorded " +
-            std::to_string(rec.chosen));
-      if (rec.has_energy && engine_->total_energy() != rec.energy_after)
-        throw std::runtime_error(where +
-                                 ": replay energy diverged from the journal");
-      break;
-    }
-    case WalRecord::Op::kRetire: {
-      const ServerId host = apply_retire(rec.vm_id);
-      if (host != rec.chosen)
-        throw std::runtime_error(
-            where + ": replay retired from server " + std::to_string(host) +
-            ", journal recorded " + std::to_string(rec.chosen));
-      break;
-    }
-    case WalRecord::Op::kAdvance:
-      engine_->advance_to(rec.to);
-      sync_resolutions();
-      break;
-    case WalRecord::Op::kFault:
-      engine_->apply_fault(rec.fault);
-      sync_resolutions();
-      break;
-    case WalRecord::Op::kDrain:
-      engine_->finish_stream();
-      sync_resolutions();
-      break;
-  }
-  // The resolutions are history a later snapshot will not carry: they must
-  // match the journal's, entry for entry, or the fold and the engine disagree.
-  const std::span<const Resolution> regenerated = resolved_since(first);
+  const Outcome out = apply(rec.req);
+  const auto diverged = [&](const std::string& what) {
+    return std::runtime_error("wal replay (seq " + std::to_string(rec.seq) +
+                              "): " + what);
+  };
+  // Fidelity checksums: the deterministic re-run must land exactly where the
+  // live run did — on the same server, at the same cumulative energy
+  // (bit-exact, hence hexfloat), with the same resolutions entry for entry.
+  // Divergence means the journal and the engine configuration no longer
+  // agree; refusing to serve is the only safe answer.
+  // (Ops other than place and retire have no server: kNoServer on both.)
+  if (out.decision.server != rec.chosen)
+    throw diverged(std::string("replay ") +
+                   (rec.req.op == OpKind::kRetire ? "retired from" : "chose") +
+                   " server " + std::to_string(out.decision.server) +
+                   ", journal recorded " + std::to_string(rec.chosen));
+  if (rec.has_energy && engine_->total_energy() != rec.energy_after)
+    throw diverged("replay energy diverged from the journal");
   const auto same = [](const Resolution& a, const Resolution& b) {
     return a.vm == b.vm && a.server == b.server;
   };
-  if (!std::equal(regenerated.begin(), regenerated.end(),
+  if (!std::equal(out.resolved.begin(), out.resolved.end(),
                   rec.resolved.begin(), rec.resolved.end(), same))
-    throw std::runtime_error(
-        where + ": replay's resolutions diverged from the journal's "
-                "resolved list (" +
-        std::to_string(regenerated.size()) + " vs " +
-        std::to_string(rec.resolved.size()) + " entries)");
-}
-
-void Daemon::sync_resolutions() {
-  const std::vector<Resolution>& rs = engine_->resolutions();
-  for (; resolutions_applied_ < rs.size(); ++resolutions_applied_)
-    assignment_[rs[resolutions_applied_].vm] = rs[resolutions_applied_].server;
-}
-
-std::span<const Resolution> Daemon::resolved_since(std::size_t first) const {
-  const std::vector<Resolution>& rs = engine_->resolutions();
-  return std::span<const Resolution>(rs).subspan(first);
+    throw diverged("replay's resolutions diverged from the journal's "
+                   "resolved list (" +
+                   std::to_string(out.resolved.size()) + " vs " +
+                   std::to_string(rec.resolved.size()) + " entries)");
+  record_history(rec.req, out.decision.server, out.resolved);
 }
 
 void Daemon::wal_append(const std::string& record) {
@@ -287,10 +282,9 @@ void Daemon::do_snapshot() {
 }
 
 void Daemon::drain() {
-  const std::size_t first = resolutions_applied_;
-  engine_->finish_stream();
-  sync_resolutions();
-  journal(encode_drain_record(next_seq_, resolved_since(first)));
+  Request op;
+  op.op = OpKind::kDrain;
+  apply_and_journal(op);
   wal_sync();
   do_snapshot();
 }
@@ -347,69 +341,44 @@ std::string Daemon::dispatch(const Request& req) {
   std::string out = "{\"ok\":true";
   if (req.has_id) out += ",\"id\":" + std::to_string(req.id);
   out += ",\"op\":" + json::escape(to_string(req.op));
-  // Each journaled record carries the resolutions its op produced.
-  const std::size_t first = resolutions_applied_;
   switch (req.op) {
-    case OpKind::kPlace: {
-      const PlacementDecision decision = apply_place(req.vm);
-      const std::uint64_t seq = next_seq_;
-      journal(encode_place_record(seq, options_.allocator, req.vm, decision,
-                                  engine_->total_energy(),
-                                  resolved_since(first)));
-      out += ",\"seq\":" + u64_field(seq);
-      out += ",\"vm\":" + std::to_string(req.vm.id);
-      out += ",\"server\":";
-      out += decision.server == kNoServer ? "null"
-                                          : std::to_string(decision.server);
-      out += ",\"reject\":" + json::escape(esva::to_string(decision.reject));
-      break;
-    }
-    case OpKind::kRetire: {
-      const ServerId host = apply_retire(req.vm_id);
-      const std::uint64_t seq = next_seq_;
-      journal(encode_retire_record(seq, req.vm_id, host,
-                                   resolved_since(first)));
-      out += ",\"seq\":" + u64_field(seq);
-      out += ",\"vm\":" + std::to_string(req.vm_id);
-      out += ",\"server\":";
-      out += host == kNoServer ? "null" : std::to_string(host);
-      break;
-    }
-    case OpKind::kAdvance: {
-      engine_->advance_to(req.to);
-      sync_resolutions();
-      const std::uint64_t seq = next_seq_;
-      journal(encode_advance_record(seq, req.to, resolved_since(first)));
-      out += ",\"seq\":" + u64_field(seq);
-      out += ",\"frontier\":" +
-             std::to_string(engine_->cluster().frontier());
-      break;
-    }
-    case OpKind::kFault: {
-      engine_->apply_fault(req.fault);
-      sync_resolutions();
-      const std::uint64_t seq = next_seq_;
-      journal(encode_fault_record(seq, req.fault, resolved_since(first)));
-      out += ",\"seq\":" + u64_field(seq);
-      break;
-    }
     case OpKind::kStats:
       return stats_json(req.with_assignment, req.has_id, req.id);
-    case OpKind::kSnapshot: {
+    case OpKind::kSnapshot:
       if (options_.snapshot_path.empty())
         throw std::runtime_error("daemon runs without a --snapshot path");
       do_snapshot();
       out += ",\"path\":" + json::escape(options_.snapshot_path);
       out += ",\"wal_seq\":" + u64_field(next_seq_ - 1);
       break;
-    }
-    case OpKind::kDrain: {
+    case OpKind::kDrain:
       drain();
       out += ",\"requests\":" + std::to_string(engine_->requests());
       out += ",\"placed\":" + std::to_string(engine_->placed());
       out += ",\"energy_hex\":" + hex_double(engine_->total_energy());
       out += ",\"frontier\":" +
              std::to_string(engine_->cluster().frontier());
+      break;
+    case OpKind::kPlace:
+    case OpKind::kRetire:
+    case OpKind::kAdvance:
+    case OpKind::kFault: {
+      const std::uint64_t seq = next_seq_;
+      const PlacementDecision decision = apply_and_journal(req).decision;
+      out += ",\"seq\":" + u64_field(seq);
+      if (req.op == OpKind::kPlace || req.op == OpKind::kRetire) {
+        out += ",\"vm\":" + std::to_string(req.op == OpKind::kPlace
+                                                ? req.vm.id
+                                                : req.vm_id);
+        out += ",\"server\":";
+        out += decision.server == kNoServer ? "null"
+                                            : std::to_string(decision.server);
+      }
+      if (req.op == OpKind::kPlace)
+        out += ",\"reject\":" + json::escape(esva::to_string(decision.reject));
+      if (req.op == OpKind::kAdvance)
+        out += ",\"frontier\":" +
+               std::to_string(engine_->cluster().frontier());
       break;
     }
   }

@@ -3,29 +3,37 @@
 // write-ahead journal (serve/journal.h) and periodic snapshots
 // (serve/snapshot.h).
 //
-// Durability contract: every state-changing op is applied to the engine
-// first, then journaled, then acked (append-after-apply; the fsync schedule
-// is WalWriter's). Each journal record carries the op's whole effect on the
-// vm -> server history: the engine resolutions it produced ("resolved") and
-// its own outcome. Snapshots hold only live state (O(live VMs), not
-// O(uptime)). A restarted daemon reconstructs its state in three steps:
-// load the latest snapshot (if any); fold the journal records it covers
-// into the assignment history (resolved pairs, then the record's own place
-// or retire); and *re-run the engine* over the records after it — the same
-// deterministic policy with the same seed makes replay reproduce every
-// decision bit-for-bit, and the journal's recorded outcomes (chosen server,
-// cumulative energy as hexfloat, resolved pairs) are verified as
-// replay-fidelity checksums. `stats --assignment` is therefore the full
-// history — every VM ever placed — live and after any restart.
-// tests/test_serve.cpp pins that a daemon-fed stream — including one
-// SIGKILLed and restarted mid-stream — produces assignments and total
+// One op path: every journaled op (place, retire, advance, fault, drain)
+// reaches the engine through Daemon::apply, which runs the engine call and
+// takes the resolutions the op produced (PlacementEngine::take_resolutions,
+// so the engine never holds more than one op's). A live op is apply, then
+// the history rule, then the journal append, then the ack
+// (append-after-apply; the fsync schedule is WalWriter's). A replayed record
+// is apply, then a check of the outcome against the record, then the
+// history rule. drain() is the drain op through the live path, then a sync
+// and a snapshot.
+//
+// Durability: each journal record carries the op's whole effect on the
+// vm -> server history — the engine resolutions it produced ("resolved")
+// and its own outcome — and one rule (record_history) folds it: the
+// resolved pairs, then the op's own place or retire. Snapshots hold only
+// live state (O(live VMs), not O(uptime)). A restarted daemon loads the
+// latest snapshot (if any), folds the journal records it covers through
+// that rule from their journaled outcomes, and *re-runs the engine* over
+// the records after it — the same deterministic policy with the same seed
+// reproduces every decision bit-for-bit, and the journal's recorded
+// outcomes (chosen server, cumulative energy as hexfloat, resolved pairs)
+// are verified as replay-fidelity checksums. `stats --assignment` is
+// therefore the full history — every VM ever placed — live and after any
+// restart. tests/test_serve.cpp pins that a daemon-fed stream — including
+// one SIGKILLed and restarted mid-stream — produces assignments and total
 // energy byte-identical to the same workload through `esva stream`
 // (sim/replay.cpp).
 //
-// Engine configuration mirrors replay_stream exactly (grow-on-demand
-// horizon, auto-advance, energy accounting, tolerated late arrivals); fault
-// events arrive as client ops through PlacementEngine::apply_fault instead
-// of a pre-bound plan, which runs the identical per-event code path.
+// The engine runs serving_engine_options (core/streaming.h), the
+// configuration replay_stream uses; fault events arrive as client ops
+// through PlacementEngine::apply_fault instead of a pre-bound plan, which
+// runs the identical per-event code path.
 //
 // Threading: the daemon is single-threaded; serve_loop multiplexes
 // connections with poll() and handles one request at a time, so the engine
@@ -99,8 +107,8 @@ class Daemon {
   const std::string& fatal_error() const { return fatal_; }
   bool halted() const { return !fatal_.empty(); }
 
-  /// End-of-stream drain: finish_stream + journal + sync + snapshot. The
-  /// same code path as the wire-level drain op.
+  /// End-of-stream drain: the drain op (finish_stream) through the live op
+  /// path, then sync + snapshot. The wire-level drain op calls this.
   void drain();
 
   /// Durability checkpoint without draining: journal sync + snapshot (when
@@ -133,20 +141,31 @@ class Daemon {
                          long long id = 0) const;
 
  private:
-  PlacementDecision apply_place(const VmSpec& vm);
-  ServerId apply_retire(VmId vm);
-  /// Recovery, records the snapshot covers: applies the record's resolved
-  /// pairs, then its own place/retire, to the assignment map only.
-  void fold_record(const WalRecord& rec);
-  /// Recovery, records past the snapshot: re-runs the engine and checks the
-  /// recorded chosen / energy_hex / resolved against the re-run.
+  /// What applying one journaled op did to the engine.
+  struct Outcome {
+    /// place: the engine's decision (chosen server, reject); retire:
+    /// `server` is the host the VM left; other ops: default (kNoServer).
+    PlacementDecision decision;
+    /// The engine resolutions the op produced (evacuation re-placements,
+    /// retry placements, displacements left homeless), in engine order.
+    std::vector<Resolution> resolved;
+  };
+
+  /// The one place a journaled op (place, retire, advance, fault, drain)
+  /// reaches the engine — live, on replay and on drain: runs the engine call
+  /// and takes the resolutions it produced. Throws std::logic_error for
+  /// stats and snapshot.
+  Outcome apply(const Request& op);
+  /// The vm -> server history rule, for live ops, replayed records and the
+  /// records a snapshot covers alike: the op's resolved pairs, then its own
+  /// outcome (a place's chosen server; kNoServer for a retire).
+  void record_history(const Request& op, ServerId chosen,
+                      std::span<const Resolution> resolved);
+  /// The live path: apply, record the history, journal the record.
+  Outcome apply_and_journal(const Request& op);
+  /// Recovery, records past the snapshot: apply, then check the recorded
+  /// chosen / energy_hex / resolved against the re-run.
   void replay_record(const WalRecord& rec);
-  /// Folds engine resolutions (evacuations, retry placements, unresolved
-  /// displacements) accrued since the last call into the assignment map.
-  void sync_resolutions();
-  /// The engine resolutions from index `first` on — an op's own, when
-  /// `first` was resolutions_applied_ before the op.
-  std::span<const Resolution> resolved_since(std::size_t first) const;
   void journal(const std::string& record);
   /// WalWriter::append / ::sync with halt-on-failure semantics: a throw
   /// records fatal_ (the engine is ahead of the journal) and rethrows.
@@ -164,7 +183,6 @@ class Daemon {
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t next_seq_ = 1;
   std::map<VmId, ServerId> assignment_;
-  std::size_t resolutions_applied_ = 0;
   std::uint64_t ops_since_snapshot_ = 0;
   std::uint64_t replayed_ = 0;
   bool torn_tail_ = false;

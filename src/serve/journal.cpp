@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,23 +21,6 @@ namespace esva::serve {
 namespace {
 
 constexpr int kWalVersion = 2;
-
-/// u64 quantities (seq, seed) ride as decimal strings: a double-backed JSON
-/// number loses exactness past 2^53.
-std::string u64_field(std::uint64_t v) {
-  std::string out(1, '"');
-  out += std::to_string(v);
-  out += '"';
-  return out;
-}
-
-std::uint64_t require_u64(const json::Value& obj, const std::string& key,
-                          const std::string& context) {
-  const json::Value* v = obj.find(key);
-  if (!v || v->kind != json::Value::Kind::String)
-    throw std::runtime_error(context + ": missing string field '" + key + "'");
-  return parse_u64_field(v->string, context + " field '" + key + "'");
-}
 
 [[noreturn]] void fail_line(std::size_t line, const std::string& what) {
   throw std::runtime_error("wal line " + std::to_string(line) + ": " + what);
@@ -113,11 +97,12 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
   rec.raw = raw;
   rec.seq = require_u64(root, "seq", "wal record");
   const std::string ctx = "wal record";
+  Request& req = rec.req;
   if (op == "place") {
-    rec.op = WalRecord::Op::kPlace;
+    req.op = OpKind::kPlace;
     const json::Value* spec = root.find("spec");
     if (!spec) fail_line(line, "place record missing 'spec'");
-    rec.vm = decode_vm(*spec, "wal place spec");
+    req.vm = decode_vm(*spec, "wal place spec");
     if (const json::Value* c = root.find("chosen"); c && c->is_null())
       rec.chosen = kNoServer;
     else
@@ -131,35 +116,30 @@ WalRecord decode_record(const json::Value& root, const std::string& op,
           parse_double_field(e->string, ctx + " field 'energy_hex'");
     }
   } else if (op == "retire") {
-    rec.op = WalRecord::Op::kRetire;
-    rec.vm_id = static_cast<VmId>(json::require_integer(
+    req.op = OpKind::kRetire;
+    req.vm_id = static_cast<VmId>(json::require_integer(
         root, "vm", 0, std::numeric_limits<VmId>::max(), ctx));
     if (const json::Value* s = root.find("server"); s && !s->is_null())
       rec.chosen = static_cast<ServerId>(json::require_integer(
           root, "server", kNoServer, std::numeric_limits<ServerId>::max(),
           ctx));
   } else if (op == "advance") {
-    rec.op = WalRecord::Op::kAdvance;
-    rec.to = static_cast<Time>(json::require_integer(
+    req.op = OpKind::kAdvance;
+    req.to = static_cast<Time>(json::require_integer(
         root, "to", std::numeric_limits<Time>::min(),
         std::numeric_limits<Time>::max(), ctx));
   } else if (op == "fault") {
-    rec.op = WalRecord::Op::kFault;
-    rec.fault.at = static_cast<Time>(json::require_integer(
+    req.op = OpKind::kFault;
+    req.fault.at = static_cast<Time>(json::require_integer(
         root, "at", 1, std::numeric_limits<Time>::max(), ctx));
     const std::string& kind = json::require_string(root, "kind", ctx);
-    if (kind == "fail")
-      rec.fault.kind = FaultKind::kFail;
-    else if (kind == "drain")
-      rec.fault.kind = FaultKind::kDrain;
-    else if (kind == "recover")
-      rec.fault.kind = FaultKind::kRecover;
-    else
-      fail_line(line, "unknown fault kind '" + kind + "'");
-    rec.fault.server = static_cast<ServerId>(json::require_integer(
+    const std::optional<FaultKind> parsed = parse_fault_kind(kind);
+    if (!parsed) fail_line(line, "unknown fault kind '" + kind + "'");
+    req.fault.kind = *parsed;
+    req.fault.server = static_cast<ServerId>(json::require_integer(
         root, "server", 0, std::numeric_limits<ServerId>::max(), ctx));
   } else if (op == "drain") {
-    rec.op = WalRecord::Op::kDrain;
+    req.op = OpKind::kDrain;
   } else {
     fail_line(line, "unknown record op '" + op + "'");
   }
@@ -371,7 +351,7 @@ std::vector<VmDecisionTrace> decisions_from_wal(
       jsonl += to_jsonl(resolution);
       jsonl += '\n';
     }
-    if (rec.op == WalRecord::Op::kPlace || rec.op == WalRecord::Op::kRetire) {
+    if (rec.req.op == OpKind::kPlace || rec.req.op == OpKind::kRetire) {
       jsonl += rec.raw;
       jsonl += '\n';
     }

@@ -63,6 +63,7 @@
 #include "core/fault_plan.h"
 #include "core/streaming.h"
 #include "obs/trace.h"
+#include "serve/wire.h"
 #include "util/types.h"
 
 namespace esva::serve {
@@ -79,14 +80,13 @@ struct WalHeader {
 
 /// One replayable journal record (the decoded form of the schema above).
 struct WalRecord {
-  enum class Op { kPlace, kRetire, kAdvance, kFault, kDrain };
-  Op op = Op::kPlace;
   std::uint64_t seq = 0;
-  VmSpec vm;                    ///< kPlace: the submitted spec
-  VmId vm_id = 0;               ///< kRetire
-  Time to = 0;                  ///< kAdvance
-  FaultEvent fault;             ///< kFault
-  /// kPlace/kRetire replay checksums: the recorded outcome.
+  /// The op's inputs as the wire request a client sent (place, retire,
+  /// advance, fault or drain), so replay applies the same value a live op
+  /// has.
+  Request req;
+  /// Place/retire replay checksums: the recorded outcome (the chosen
+  /// server; for a retire, the host the VM left).
   ServerId chosen = kNoServer;
   bool has_energy = false;
   Energy energy_after = 0.0;    ///< cumulative engine energy after the op

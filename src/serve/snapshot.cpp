@@ -21,16 +21,6 @@ namespace {
 
 constexpr int kSnapshotVersion = 2;
 
-std::string u64_field(std::uint64_t v) { return "\"" + std::to_string(v) + "\""; }
-
-std::uint64_t require_u64(const json::Value& obj, const std::string& key,
-                          const std::string& context) {
-  const json::Value* v = obj.find(key);
-  if (!v || v->kind != json::Value::Kind::String)
-    throw std::runtime_error(context + ": missing string field '" + key + "'");
-  return parse_u64_field(v->string, context + " field '" + key + "'");
-}
-
 template <typename T>
 T require_int(const json::Value& obj, const std::string& key,
               const std::string& context) {

@@ -1,15 +1,16 @@
 // Durable snapshots of the esva serve daemon: the restorable live engine
-// state (core/streaming.h EngineStateSnapshot, minus its `resolutions`
-// history) plus the pieces the engine cannot carry itself — the Rng's four
+// state (core/streaming.h EngineStateSnapshot) plus the pieces the engine
+// cannot carry itself — the Rng's four
 // state words and a config header validated on restore. One JSON document
 // per file, written atomically (tmp + fsync + rename + directory fsync) so a
 // crash mid-snapshot leaves the previous snapshot intact.
 //
 // A snapshot costs O(live state), not O(uptime): the daemon's vm -> server
-// history (its assignment map) and the engine's resolution history are NOT
-// in it. They live in the journal — every record carries its own decision
-// and its "resolved" pairs (serve/journal.h) — and recovery rebuilds the
-// history by folding the records the snapshot covers. Format 2; a reader
+// history (its assignment map) is NOT in it, and the engine holds no
+// resolution history (the daemon takes each op's resolutions as it applies
+// the op). The history lives in the journal — every record carries its own
+// decision and its "resolved" pairs (serve/journal.h) — and recovery
+// rebuilds the history by folding the records the snapshot covers. Format 2; a reader
 // refuses any other version.
 //
 // Exactness rules (docs/FORMATS.md#snapshot): every double rides as a C99
@@ -40,7 +41,7 @@ struct SnapshotData {
   /// strictly-greater records.
   std::uint64_t wal_seq = 0;
 
-  /// Live engine state; `engine.resolutions` is neither written nor read.
+  /// Live engine state.
   EngineStateSnapshot engine;
   /// xoshiro256** words (Rng::state), restoring the policy's random stream.
   std::array<std::uint64_t, 4> rng{};

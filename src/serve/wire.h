@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "cluster/vm.h"
@@ -47,6 +48,15 @@ struct Request {
   FaultEvent fault;                     ///< kFault
   bool with_assignment = false;         ///< kStats: include the vm->server map
 };
+
+/// A u64 (sequence number, seed, rng word) as a JSON string of its decimal
+/// digits: a double-backed JSON number loses exactness past 2^53.
+std::string u64_field(std::uint64_t value);
+
+/// Inverse of u64_field on a required object member; throws
+/// std::runtime_error("<context>: ...") when missing or malformed.
+std::uint64_t require_u64(const json::Value& obj, const std::string& key,
+                          const std::string& context);
 
 /// Exact double encoding: a JSON string holding the C99 %a hexfloat.
 std::string hex_double(double value);

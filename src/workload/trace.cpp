@@ -27,10 +27,6 @@ double parse_double(const std::string& field, std::size_t line) {
   return parse_double_field(field, line_context(line));
 }
 
-long long parse_long(const std::string& field, std::size_t line) {
-  return parse_int_field(field, line_context(line));
-}
-
 }  // namespace
 
 namespace {

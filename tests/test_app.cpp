@@ -494,26 +494,26 @@ TEST_F(AppTest, AllocateWritesDecisionTraceAndStats) {
 TEST_F(AppTest, EvaluateWritesTraceAndStats) {
   ASSERT_EQ(run("generate",
                 {"--vms", "12", "--servers", "8", "--out-vms",
-                 path("e_vms.csv"), "--out-servers", path("e_srv.csv")}),
+                 path("ev_vms.csv"), "--out-servers", path("ev_srv.csv")}),
             0)
       << err();
   ASSERT_EQ(run("allocate",
-                {"--vms", path("e_vms.csv"), "--servers", path("e_srv.csv"),
-                 "--out-assignment", path("e_assign.csv")}),
+                {"--vms", path("ev_vms.csv"), "--servers", path("ev_srv.csv"),
+                 "--out-assignment", path("ev_assign.csv")}),
             0)
       << err();
   ASSERT_EQ(run("evaluate",
-                {"--vms", path("e_vms.csv"), "--servers", path("e_srv.csv"),
-                 "--assignment", path("e_assign.csv"), "--trace",
-                 path("e_trace.jsonl"), "--stats", path("e_stats.json")}),
+                {"--vms", path("ev_vms.csv"), "--servers", path("ev_srv.csv"),
+                 "--assignment", path("ev_assign.csv"), "--trace",
+                 path("ev_trace.jsonl"), "--stats", path("ev_stats.json")}),
             0)
       << err();
   const std::vector<VmDecisionTrace> decisions =
-      load_trace_jsonl_file(path("e_trace.jsonl"));
+      load_trace_jsonl_file(path("ev_trace.jsonl"));
   ASSERT_EQ(decisions.size(), 12u);
   for (const VmDecisionTrace& d : decisions)
     EXPECT_EQ(d.allocator, "assignment");
-  std::ifstream stats_file(path("e_stats.json"));
+  std::ifstream stats_file(path("ev_stats.json"));
   std::stringstream stats;
   stats << stats_file.rdbuf();
   EXPECT_NE(stats.str().find("cost.total"), std::string::npos);

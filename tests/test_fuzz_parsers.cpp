@@ -290,7 +290,9 @@ TEST(FuzzParsers, ServeRequestDecoderNeverCrashes) {
                          : static_cast<char>(rng.uniform_int(0, 255)));
     try {
       const serve::Request req = serve::decode_request(line);
-      if (req.op == serve::OpKind::kPlace) ASSERT_TRUE(req.vm.valid());
+      if (req.op == serve::OpKind::kPlace) {
+        ASSERT_TRUE(req.vm.valid());
+      }
     } catch (const std::runtime_error&) {
     }
   }

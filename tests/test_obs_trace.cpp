@@ -49,7 +49,9 @@ void expect_equal(const VmDecisionTrace& a, const VmDecisionTrace& b) {
   EXPECT_EQ(a.vm, b.vm);
   EXPECT_EQ(a.chosen, b.chosen);
   EXPECT_EQ(a.has_chosen_delta, b.has_chosen_delta);
-  if (a.has_chosen_delta) EXPECT_DOUBLE_EQ(a.chosen_delta, b.chosen_delta);
+  if (a.has_chosen_delta) {
+    EXPECT_DOUBLE_EQ(a.chosen_delta, b.chosen_delta);
+  }
   EXPECT_EQ(a.note, b.note);
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
@@ -58,8 +60,9 @@ void expect_equal(const VmDecisionTrace& a, const VmDecisionTrace& b) {
     EXPECT_EQ(a.candidates[i].reject, b.candidates[i].reject);
     EXPECT_EQ(a.candidates[i].reject_at, b.candidates[i].reject_at);
     EXPECT_EQ(a.candidates[i].has_delta, b.candidates[i].has_delta);
-    if (a.candidates[i].has_delta)
+    if (a.candidates[i].has_delta) {
       EXPECT_DOUBLE_EQ(a.candidates[i].delta, b.candidates[i].delta);
+    }
   }
 }
 
@@ -248,7 +251,9 @@ TEST(CheckFitProperty, AgreesWithCanFitOnRandomPlacements) {
         const FitCheck fit = timelines[i].check_fit(candidate);
         ASSERT_EQ(fit.ok, timelines[i].can_fit(candidate))
             << "seed " << seed << " vm " << j << " server " << i;
-        if (!fit.ok) ASSERT_NE(fit.reject, FitReject::None);
+        if (!fit.ok) {
+          ASSERT_NE(fit.reject, FitReject::None);
+        }
       }
       // Greedily place on the first feasible server to vary the state.
       for (auto& timeline : timelines) {

@@ -19,12 +19,7 @@ Series linear_series() {
 }
 
 FigureSpec basic_spec() {
-  FigureSpec spec;
-  spec.title = "Fig. T — test figure";
-  spec.x_label = "x";
-  spec.y_label = "ratio";
-  spec.fit = FitModel::Linear;
-  return spec;
+  return {"Fig. T — test figure", "x", "ratio", FitModel::Linear};
 }
 
 TEST(Report, PrintsTitleHeaderAndFit) {

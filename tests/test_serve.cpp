@@ -54,7 +54,6 @@ using serve::OpKind;
 using serve::Request;
 using serve::WalFile;
 using serve::WalHeader;
-using serve::WalRecord;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/esva_serve_" + std::to_string(::getpid()) +
@@ -215,16 +214,18 @@ TEST(ServeWal, RoundTripsHeaderAndRecords) {
   EXPECT_EQ(wal.header.retry.max_attempts, 2);
   EXPECT_EQ(wal.header.retry.backoff, 2.5);
   ASSERT_EQ(wal.records.size(), 5u);
-  EXPECT_EQ(wal.records[0].op, WalRecord::Op::kPlace);
+  EXPECT_EQ(wal.records[0].req.op, OpKind::kPlace);
   EXPECT_EQ(wal.records[0].chosen, 2);
   EXPECT_TRUE(wal.records[0].has_energy);
   EXPECT_EQ(wal.records[0].energy_after, 123.456);  // hexfloat: bit-exact
-  EXPECT_EQ(wal.records[0].vm.demand.cpu, 0.1);
-  EXPECT_EQ(wal.records[1].op, WalRecord::Op::kRetire);
-  EXPECT_EQ(wal.records[1].vm_id, 7);
-  EXPECT_EQ(wal.records[2].to, 15);
-  EXPECT_EQ(wal.records[3].fault.kind, FaultKind::kFail);
-  EXPECT_EQ(wal.records[4].op, WalRecord::Op::kDrain);
+  EXPECT_EQ(wal.records[0].req.vm.demand.cpu, 0.1);
+  EXPECT_EQ(wal.records[1].req.op, OpKind::kRetire);
+  EXPECT_EQ(wal.records[1].req.vm_id, 7);
+  EXPECT_EQ(wal.records[2].req.op, OpKind::kAdvance);
+  EXPECT_EQ(wal.records[2].req.to, 15);
+  EXPECT_EQ(wal.records[3].req.op, OpKind::kFault);
+  EXPECT_EQ(wal.records[3].req.fault.kind, FaultKind::kFail);
+  EXPECT_EQ(wal.records[4].req.op, OpKind::kDrain);
   ::unlink(path.c_str());
 }
 
@@ -246,7 +247,7 @@ TEST(ServeWal, TornFinalLineIsDroppedNotFatal) {
   const WalFile wal = serve::read_wal(path);
   EXPECT_TRUE(wal.torn_tail);
   ASSERT_EQ(wal.records.size(), 1u);
-  EXPECT_EQ(wal.records[0].to, 9);
+  EXPECT_EQ(wal.records[0].req.to, 9);
   ::unlink(path.c_str());
 }
 
@@ -266,7 +267,7 @@ TEST(ServeWal, NewlinelessTailIsTornEvenWhenParseable) {
   const WalFile wal = serve::read_wal(path);
   EXPECT_TRUE(wal.torn_tail);
   ASSERT_EQ(wal.records.size(), 1u);
-  EXPECT_EQ(wal.records[0].to, 9);
+  EXPECT_EQ(wal.records[0].req.to, 9);
   EXPECT_EQ(wal.valid_bytes, durable.size());
   serve::truncate_wal(path, wal.valid_bytes);
   const WalFile again = serve::read_wal(path);
@@ -453,7 +454,6 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   snap.engine.retry_queue.push_back(pending);
   snap.engine.fault_stats.fault_events = 3;
   snap.engine.fault_stats.evacuated = 2;
-  snap.engine.resolutions.push_back({5, 1});  // history: never written
   snap.rng = {1, 2, 3, 4};
 
   const std::string path = temp_path("snap_roundtrip.snap");
@@ -480,7 +480,6 @@ TEST(ServeSnapshot, RoundTripsEngineState) {
   EXPECT_EQ(back.rng, (std::array<std::uint64_t, 4>{1, 2, 3, 4}));
   // Format 2 holds live state only: the assignment and resolution history
   // stay in the journal.
-  EXPECT_TRUE(back.engine.resolutions.empty());
   const std::string text = serve::encode_snapshot(snap);
   EXPECT_EQ(text.find("\"resolutions\""), std::string::npos) << text;
   EXPECT_EQ(text.find("\"assignment\""), std::string::npos) << text;
@@ -940,6 +939,43 @@ TEST(ServeHistory, OfflineJournalFoldMatchesStatsAfterEvacuationAndRetry) {
       serve::decisions_from_wal(wal.records), kHistoryVms);
   EXPECT_EQ(folded, live);
   ::unlink(options.wal_path.c_str());
+}
+
+TEST(ServeHistory, EngineResolutionsAreTakenPerOpAndKeptInTheHistory) {
+  // The daemon takes each op's resolutions as it applies the op: the engine
+  // holds none between ops, live or after a restart, while
+  // `stats --assignment` still shows the hosts they gave. The snapshot
+  // splits the history, so the restart folds the retry placement and the
+  // first evacuation and replays the second.
+  DaemonOptions options = daemon_options("min-incremental", 42,
+                                         history_retry(), "hist_taken",
+                                         /*with_snapshot=*/true);
+  std::vector<ServerId> live;
+  {
+    Daemon daemon(history_fleet(), options);
+    for (std::size_t k = 0; k < history_ops().size(); ++k) {
+      feed_lines(daemon, history_ops(), k, k + 1);
+      EXPECT_TRUE(daemon.engine().resolutions().empty())
+          << "after " << history_ops()[k];
+      if (k + 1 == kHistorySnapshotAt) daemon.checkpoint();
+    }
+    const std::string stats = daemon.stats_json(/*with_assignment=*/true);
+    ASSERT_GE(stats_count(stats, "evacuated"), 2) << stats;
+    ASSERT_GE(stats_count(stats, "retried_placed"), 1) << stats;
+    live = stats_assignment(stats, kHistoryVms);
+    EXPECT_EQ(live[0], 0) << "vm 0 ends on server 0 after two evacuations";
+    EXPECT_EQ(live[2], 0) << "vm 2 was placed by a retry";
+  }
+  Daemon recovered(history_fleet(), options);
+  EXPECT_TRUE(recovered.recovered_from_snapshot());
+  EXPECT_EQ(recovered.replayed_records(),
+            history_ops().size() - kHistorySnapshotAt);
+  EXPECT_TRUE(recovered.engine().resolutions().empty());
+  EXPECT_EQ(stats_assignment(recovered.stats_json(true), kHistoryVms), live);
+  recovered.drain();
+  EXPECT_TRUE(recovered.engine().resolutions().empty());
+  ::unlink(options.wal_path.c_str());
+  ::unlink(options.snapshot_path.c_str());
 }
 
 TEST(ServeHistory, TamperedResolvedEntryRefusesToServe) {
